@@ -45,6 +45,9 @@ use evax_nn::QuantLinear;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::artifact::{header, Object, Value};
+use crate::cli::Args;
+
 /// Arms-race benchmark configuration (CLI-shaped).
 #[derive(Debug, Clone)]
 pub struct ArmsRaceConfig {
@@ -473,67 +476,111 @@ impl ArmsRaceReport {
         stoch.min(ens)
     }
 
+    /// Acceptance: the round-1 evasive corpus drops baseline detection by
+    /// at least 20% (relative), and a hardened variant ends the race
+    /// within 5% of its clean-corpus detection.
+    ///
+    /// # Errors
+    /// The first bar that fails, as a message.
+    pub fn check(&self) -> Result<(), String> {
+        let (drop, gap) = (self.round1_baseline_drop(), self.final_best_hardened_gap());
+        if drop < 0.20 {
+            Err(format!(
+                "round-1 evasion only dropped baseline detection {:.1}% (need >= 20%)",
+                drop * 100.0
+            ))
+        } else if gap > 0.05 {
+            Err(format!(
+                "best hardened variant ended {:.1}% below clean detection (need <= 5%)",
+                gap * 100.0
+            ))
+        } else {
+            Ok(())
+        }
+    }
+
     /// Renders `BENCH_armsrace.json`.
     pub fn to_json(&self) -> String {
-        fn variant_json(v: &PerVariant<Rate>) -> String {
-            let fields: Vec<String> = v
-                .named()
-                .iter()
-                .map(|(name, r)| {
-                    format!(
-                        "\"{name}\": {{\"hits\": {}, \"total\": {}, \"rate\": {:.4}}}",
-                        r.hits,
-                        r.total,
-                        r.rate()
-                    )
-                })
-                .collect();
-            format!("{{{}}}", fields.join(", "))
+        fn variant_json(v: &PerVariant<Rate>) -> Object {
+            v.named().into_iter().fold(Object::new(), |o, (name, r)| {
+                let rate = Object::new()
+                    .field("hits", r.hits)
+                    .field("total", r.total)
+                    .fixed("rate", r.rate(), 4);
+                o.field(name, rate)
+            })
         }
-        let rounds: Vec<String> = self
+        let race: Value = self
             .rounds
             .iter()
             .map(|r| {
-                format!(
-                    "    {{\"round\": {}, \"windows\": {},\n     \"pre\": {},\n     \"post\": {}}}",
-                    r.round,
-                    r.windows,
-                    variant_json(&r.pre),
-                    variant_json(&r.post)
-                )
+                Object::new()
+                    .field("round", r.round)
+                    .field("windows", r.windows)
+                    .field("pre", variant_json(&r.pre))
+                    .field("post", variant_json(&r.post))
             })
             .collect();
-        format!(
-            "{{\n  \"seed\": {}, \"rounds\": {}, \"programs_per_strategy\": {}, \
-             \"members\": {}, \"jitter\": {}, \"smoke\": {}, \
-             \"cores\": {}, \"threads\": [1, 4, 16],\n  \
-             \"strategies\": [\"benign_padding\", \"rate_modulation\", \"weight_guided\"],\n  \
-             \"clean\": {},\n  \"clean_false_positives\": {},\n  \
-             \"carrier_interleaved\": {},\n  \"carrier_false_positives\": {},\n  \
-             \"race\": [\n{}\n  ],\n  \
-             \"acceptance\": {{\"round1_baseline_drop\": {:.4}, \
-             \"final_best_hardened_gap\": {:.4}}},\n  \
-             \"verdict_digest\": \"{}\",\n  \
-             \"note\": \"rates are exact (hits, total) window counts from the \
-             trait-level batched drain, asserted identical at 1/4/16 kernel \
-             threads; pre = detection on the fresh evasive corpus before \
-             re-vaccination, post = after re-vaccinating on all evasive \
-             windows observed so far\"\n}}\n",
-            self.config.seed,
-            self.config.rounds,
-            self.config.programs_per_strategy,
-            self.config.members,
-            self.config.jitter,
-            self.config.smoke,
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-            variant_json(&self.clean),
-            variant_json(&self.clean_fp),
-            variant_json(&self.carrier),
-            variant_json(&self.carrier_fp),
-            rounds.join(",\n"),
-            self.round1_baseline_drop(),
-            self.final_best_hardened_gap(),
-            self.verdict_digest,
-        )
+        let c = &self.config;
+        // Every evaluation runs at 1, 4 and 16 kernel threads.
+        header("armsrace", c.seed, [1u64, 4, 16], c.smoke)
+            .field("rounds", c.rounds)
+            .field("programs_per_strategy", c.programs_per_strategy)
+            .field("members", c.members)
+            .field("jitter", Value::Raw(c.jitter.to_string()))
+            .field(
+                "strategies",
+                ["benign_padding", "rate_modulation", "weight_guided"],
+            )
+            .field("clean", variant_json(&self.clean))
+            .field("clean_false_positives", variant_json(&self.clean_fp))
+            .field("carrier_interleaved", variant_json(&self.carrier))
+            .field("carrier_false_positives", variant_json(&self.carrier_fp))
+            .field("race", race)
+            .field(
+                "acceptance",
+                Object::new()
+                    .fixed("round1_baseline_drop", self.round1_baseline_drop(), 4)
+                    .fixed("final_best_hardened_gap", self.final_best_hardened_gap(), 4),
+            )
+            .field("verdict_digest", self.verdict_digest.as_str())
+            .field(
+                "note",
+                "rates are exact (hits, total) window counts from the trait-level batched \
+                 drain, asserted identical at 1/4/16 kernel threads; pre = detection on the \
+                 fresh evasive corpus before re-vaccination, post = after re-vaccinating on \
+                 all evasive windows observed so far",
+            )
+            .render()
     }
+}
+
+/// The `armsrace` binary's command line: the configuration and the
+/// artifact path. `--smoke` selects [`ArmsRaceConfig::smoke`], and explicit
+/// flags override it.
+///
+/// # Errors
+/// The first bad, missing or unknown argument, with the usage line.
+pub fn cli(argv: Vec<String>) -> Result<(ArmsRaceConfig, String), String> {
+    let mut args = Args::new(
+        "armsrace [--seed N] [--rounds N] [--programs N] [--members N] [--smoke] [--out PATH]",
+        argv,
+    );
+    let mut cfg = ArmsRaceConfig::default();
+    if args.smoke {
+        cfg = ArmsRaceConfig::smoke(cfg.seed);
+    }
+    let mut out = "BENCH_armsrace.json".to_string();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--seed" => cfg.seed = args.seed()?,
+            "--rounds" => cfg.rounds = args.positive()?,
+            "--programs" => cfg.programs_per_strategy = args.positive()?,
+            "--members" => cfg.members = args.positive()?,
+            "--smoke" => {}
+            "--out" => out = args.path()?,
+            _ => return Err(args.unknown()),
+        }
+    }
+    Ok((cfg, out))
 }

@@ -6,97 +6,27 @@
 //! ```
 //!
 //! `--smoke` is the CI setting: 2 rounds over a small corpus, enough to
-//! prove the loop runs end-to-end and the artifact is well-formed. Exits
-//! non-zero if any variant's verdict counts diverge across kernel thread
-//! counts (asserted inside every evaluation), if the acceptance bars fail
-//! (round-1 baseline drop ≥ 20% relative, best hardened variant within 5%
-//! of clean-corpus detection by the final round), or if the artifact
-//! cannot be written.
+//! prove the loop runs end-to-end and the artifact is well-formed; explicit
+//! flags override the preset in any order. Exits non-zero if any variant's
+//! verdict counts diverge across kernel thread counts (asserted inside
+//! every evaluation), if the acceptance bars fail (round-1 baseline drop ≥
+//! 20% relative, best hardened variant within 5% of clean-corpus detection
+//! by the final round), or if the artifact cannot be written.
 
 use std::process::ExitCode;
 
-use evax_bench::armsrace::{run_arms_race, ArmsRaceConfig};
+use evax_bench::armsrace::{self, run_arms_race};
+use evax_bench::cli;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = ArmsRaceConfig::default();
-    let mut out = String::from("BENCH_armsrace.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                cfg.seed = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("--seed requires an integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--rounds" => {
-                i += 1;
-                cfg.rounds = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("--rounds requires a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--programs" => {
-                i += 1;
-                cfg.programs_per_strategy = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("--programs requires a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--members" => {
-                i += 1;
-                cfg.members = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("--members requires a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--smoke" => {
-                let seed = cfg.seed;
-                cfg = ArmsRaceConfig::smoke(seed);
-            }
-            "--out" => {
-                i += 1;
-                out = match args.get(i) {
-                    Some(p) => p.clone(),
-                    None => {
-                        eprintln!("--out requires a path");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                eprintln!(
-                    "usage: armsrace [--seed N] [--rounds N] [--programs N] \
-                     [--members N] [--smoke] [--out PATH]"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
+    run().err().unwrap_or(ExitCode::SUCCESS)
+}
+
+fn run() -> Result<(), ExitCode> {
+    let (cfg, out) = cli::parse(armsrace::cli)?;
 
     let report = run_arms_race(&cfg);
-    let json = report.to_json();
-    print!("{json}");
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("error: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    cli::emit(&report.to_json(), &out)?;
     eprintln!(
         "[armsrace] round-1 baseline drop {:.1}%; best hardened gap to clean {:.1}% \
          after {} rounds (digest {})",
@@ -105,21 +35,5 @@ fn main() -> ExitCode {
         report.rounds.len(),
         report.verdict_digest
     );
-    let drop = report.round1_baseline_drop();
-    let gap = report.final_best_hardened_gap();
-    if drop < 0.20 {
-        eprintln!(
-            "error: round-1 evasion only dropped baseline detection {:.1}% (need >= 20%)",
-            drop * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    if gap > 0.05 {
-        eprintln!(
-            "error: best hardened variant ended {:.1}% below clean detection (need <= 5%)",
-            gap * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    report.check().map_err(cli::fail)
 }

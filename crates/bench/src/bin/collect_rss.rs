@@ -10,6 +10,7 @@
 //! cargo run -p evax-bench --release --bin collect_rss > BENCH_stream.json
 //! ```
 
+use evax_bench::artifact::{header, Object, Value};
 use evax_bench::stream_bench::{
     collect_materialized, collect_streaming, corpus, peak_rss_kb, INTERVAL, MAX_INSTRS,
 };
@@ -31,13 +32,14 @@ fn run_one(mode: &str) {
             std::process::exit(2);
         }
     });
-    println!(
-        "{{\"mode\": \"{mode}\", \"runs\": {}, \"samples\": {}, \"secs\": {secs:.3}, \
-         \"baseline_rss_kb\": {baseline_kb}, \"peak_rss_kb\": {}}}",
-        programs.len(),
-        ds.len(),
-        peak_rss_kb()
-    );
+    let report = Object::new()
+        .field("mode", mode)
+        .field("runs", programs.len())
+        .field("samples", ds.len())
+        .fixed("secs", secs, 3)
+        .field("baseline_rss_kb", baseline_kb)
+        .field("peak_rss_kb", peak_rss_kb());
+    println!("{}", Value::from(report));
 }
 
 fn field(json: &str, key: &str) -> f64 {
@@ -67,19 +69,18 @@ fn main() {
     let (stream, mat) = (&reports[0], &reports[1]);
     let stream_kb = field(stream, "peak_rss_kb");
     let mat_kb = field(mat, "peak_rss_kb");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("{{");
-    println!(
-        "  \"corpus_runs\": {}, \"interval\": {INTERVAL}, \"max_instrs\": {MAX_INSTRS}, \
-         \"cores\": {cores}, \"threads\": \"auto\",",
-        field(stream, "runs") as u64
-    );
-    println!("  \"streaming\": {},", stream.trim());
-    println!("  \"materialize\": {},", mat.trim());
-    println!("  \"peak_rss_ratio\": {:.3},", mat_kb / stream_kb.max(1.0));
-    println!(
-        "  \"secs_ratio\": {:.3}",
-        field(stream, "secs") / field(mat, "secs").max(1e-9)
-    );
-    println!("}}");
+    // The corpus draws every program from its own fixed seed: no master seed.
+    let artifact = header("collect_rss", None::<u64>, "auto", false)
+        .field("corpus_runs", field(stream, "runs") as u64)
+        .field("interval", INTERVAL)
+        .field("max_instrs", MAX_INSTRS)
+        .field("streaming", Value::Raw(stream.trim().to_string()))
+        .field("materialize", Value::Raw(mat.trim().to_string()))
+        .fixed("peak_rss_ratio", mat_kb / stream_kb.max(1.0), 3)
+        .fixed(
+            "secs_ratio",
+            field(stream, "secs") / field(mat, "secs").max(1e-9),
+            3,
+        );
+    print!("{}", artifact.render());
 }

@@ -21,84 +21,48 @@
 
 use std::process::ExitCode;
 
+use evax_bench::artifact::{header, threads, Object, Value};
+use evax_bench::cli::{self, Args};
 use evax_bench::{run_experiment, ExperimentScale, Harness, EXPERIMENT_IDS};
 use evax_core::par::{self, Parallelism};
 
+const USAGE: &str = "experiments <id>... [--seed N] [--scale small|full] [--threads N] [--json] \
+                     [--metrics-out PATH]";
+
+/// The parsed command line; every argument that is not a flag is an id.
+struct Opts {
+    ids: Vec<String>,
+    seed: u64,
+    scale: ExperimentScale,
+    parallelism: Parallelism,
+    json: bool,
+    metrics_out: Option<String>,
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut ids: Vec<String> = Vec::new();
-    let mut seed = 42u64;
-    let mut scale = ExperimentScale::Small;
-    let mut parallelism = Parallelism::Auto;
-    let mut json = false;
-    let mut metrics_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                seed = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("--seed requires an integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--scale" => {
-                i += 1;
-                scale = match args.get(i).and_then(|s| ExperimentScale::parse(s)) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("--scale requires 'small' or 'full'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--threads" => {
-                i += 1;
-                parallelism = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => Parallelism::Fixed(n),
-                    _ => {
-                        eprintln!("--threads requires a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--json" => json = true,
-            "--metrics-out" => {
-                i += 1;
-                metrics_out = match args.get(i) {
-                    Some(p) => Some(p.clone()),
-                    None => {
-                        eprintln!("--metrics-out requires a path");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            other => ids.push(other.to_string()),
-        }
-        i += 1;
-    }
+    run().err().unwrap_or(ExitCode::SUCCESS)
+}
+
+fn run() -> Result<(), ExitCode> {
+    let opts = cli::parse(parse)?;
+    let (seed, parallelism, json) = (opts.seed, opts.parallelism, opts.json);
+    let mut ids = opts.ids;
     if ids.is_empty() || ids.iter().any(|i| i == "help" || i == "--help") {
-        eprintln!(
-            "usage: experiments <id>... [--seed N] [--scale small|full] [--threads N] [--json] \
-             [--metrics-out PATH]"
-        );
+        eprintln!("usage: {USAGE}");
         eprintln!("ids: {} | all | list", EXPERIMENT_IDS.join(" "));
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     }
     if ids.iter().any(|i| i == "list") {
         for id in EXPERIMENT_IDS {
             println!("{id}");
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     if ids.iter().any(|i| i == "all") {
         ids = EXPERIMENT_IDS.iter().map(|s| s.to_string()).collect();
     }
 
-    let harness = Harness::new(seed, scale);
+    let harness = Harness::new(seed, opts.scale);
     // Fan the experiments out; each returns (report-or-error, seconds).
     // Results merge back in id order, so output is stable at any thread count.
     let (results, total_secs) = evax_bench::harness::timed(|| {
@@ -110,59 +74,69 @@ fn main() -> ExitCode {
     // The metered defense pass behind the `metrics` block / `--metrics-out`.
     // Records only simulated quantities in the deterministic export, so the
     // block is byte-identical at any thread count.
-    let obs = (json || metrics_out.is_some()).then(|| {
+    let obs = (json || opts.metrics_out.is_some()).then(|| {
         evax_bench::obs_pass::obs_pass(seed, parallelism, &evax_bench::obs_pass::default_programs())
     });
-    if let (Some(path), Some(reg)) = (&metrics_out, &obs) {
-        if let Err(e) = std::fs::write(path, reg.to_jsonl()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let (Some(path), Some(reg)) = (&opts.metrics_out, &obs) {
+        cli::write(path, &reg.to_jsonl())?;
     }
 
-    let mut failed = false;
     if json {
-        println!(
-            "{}",
-            json_summary(
-                &harness,
-                &ids,
-                &results,
-                total_secs,
-                obs.as_deref(),
-                parallelism
-            )
+        let summary = json_summary(
+            &harness,
+            &ids,
+            &results,
+            total_secs,
+            obs.as_deref(),
+            parallelism,
         );
-        failed = results.iter().any(|(r, _)| r.is_err());
-        for (id, (result, _)) in ids.iter().zip(&results) {
-            if let Err(e) = result {
-                eprintln!("error [{id}]: {e}");
+        print!("{}", summary.render());
+    }
+    let mut failed = false;
+    for (id, (result, secs)) in ids.iter().zip(&results) {
+        match result {
+            Ok(report) if !json => {
+                println!("{report}");
+                eprintln!("[{id}] done in {secs:.1}s\n");
             }
-        }
-    } else {
-        for (id, (result, secs)) in ids.iter().zip(&results) {
-            match result {
-                Ok(report) => {
-                    println!("{report}");
-                    eprintln!("[{id}] done in {secs:.1}s\n");
-                }
-                Err(e) => {
-                    eprintln!("error [{id}]: {e}");
-                    failed = true;
-                }
+            Ok(_) => {}
+            Err(e) => {
+                eprintln!("error [{id}]: {e}");
+                failed = true;
             }
         }
     }
     if failed {
-        ExitCode::FAILURE
+        Err(ExitCode::FAILURE)
     } else {
-        ExitCode::SUCCESS
+        Ok(())
     }
 }
 
-/// Renders the `--json` timing summary. Hand-rolled (the workspace has no
-/// JSON serializer); every string placed here is a known-safe literal or an
-/// escaped experiment id.
+fn parse(argv: Vec<String>) -> Result<Opts, String> {
+    let mut args = Args::new(USAGE, argv);
+    let mut opts = Opts {
+        ids: Vec::new(),
+        seed: 42,
+        scale: ExperimentScale::Small,
+        parallelism: Parallelism::Auto,
+        json: false,
+        metrics_out: None,
+    };
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--seed" => opts.seed = args.seed()?,
+            "--scale" => opts.scale = args.value("'small' or 'full'", ExperimentScale::parse)?,
+            "--threads" => opts.parallelism = args.threads()?,
+            "--json" => opts.json = true,
+            "--metrics-out" => opts.metrics_out = Some(args.path()?),
+            _ => opts.ids.push(arg),
+        }
+    }
+    Ok(opts)
+}
+
+/// The `--json` timing summary.
 fn json_summary(
     harness: &Harness,
     ids: &[String],
@@ -170,75 +144,45 @@ fn json_summary(
     total_secs: f64,
     obs: Option<&evax_obs::Registry>,
     parallelism: Parallelism,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"seed\": {},\n", harness.seed));
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = match parallelism {
-        Parallelism::Fixed(n) => n.to_string(),
-        _ => "\"auto\"".to_string(),
-    };
-    out.push_str(&format!(
-        "  \"cores\": {cores},\n  \"threads\": {threads},\n"
-    ));
-    out.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        match harness.scale {
-            ExperimentScale::Small => "small",
-            ExperimentScale::Full => "full",
-        }
-    ));
-    out.push_str("  \"experiments\": [\n");
-    for (i, (id, (result, secs))) in ids.iter().zip(results).enumerate() {
-        let comma = if i + 1 < ids.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"id\": \"{}\", \"ok\": {}, \"secs\": {:.3}}}{}\n",
-            escape_json(id),
-            result.is_ok(),
-            secs,
-            comma
-        ));
-    }
-    out.push_str("  ],\n");
+) -> Object {
+    let experiments: Value = ids
+        .iter()
+        .zip(results)
+        .map(|(id, (result, secs))| {
+            Object::new()
+                .field("id", id.as_str())
+                .field("ok", result.is_ok())
+                .fixed("secs", *secs, 3)
+        })
+        .collect();
     // Simulator throughput baseline (event-driven vs scan scheduling on the
     // registry mix) — the perf trajectory future PRs compare against.
     let sim = evax_bench::exp_sim::measure(harness.seed, harness.scale);
-    out.push_str(&format!(
-        "  \"sim_instrs_per_sec\": {:.0},\n  \"sim_scan_instrs_per_sec\": {:.0},\n  \
-         \"sim_speedup\": {:.3},\n  \"sim_committed_instrs\": {},\n",
-        sim.event_ips(),
-        sim.scan_ips(),
-        sim.speedup(),
-        sim.committed
-    ));
-    match harness.stage_timings() {
-        Some(t) => out.push_str(&format!(
-            "  \"pipeline_stages\": {{\"collect_secs\": {:.3}, \"gan_secs\": {:.3}, \
-             \"engineer_secs\": {:.3}, \"vaccinate_secs\": {:.3}, \"baseline_secs\": {:.3}}},\n",
-            t.collect_secs, t.gan_secs, t.engineer_secs, t.vaccinate_secs, t.baseline_secs
-        )),
-        None => out.push_str("  \"pipeline_stages\": null,\n"),
-    }
-    // Deterministic metrics from the metered defense pass: sorted keys,
-    // integer values, wall-clock timers excluded — byte-identical at any
-    // thread count (`registry.to_json()` is already a valid JSON object).
-    match obs {
-        Some(reg) => out.push_str(&format!("  \"metrics\": {},\n", reg.to_json())),
-        None => out.push_str("  \"metrics\": null,\n"),
-    }
-    out.push_str(&format!("  \"total_secs\": {total_secs:.3}\n"));
-    out.push('}');
-    out
-}
-
-/// Minimal JSON string escaping for experiment ids.
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+    let stages = harness.stage_timings().map(|t| {
+        Object::new()
+            .fixed("collect_secs", t.collect_secs, 3)
+            .fixed("gan_secs", t.gan_secs, 3)
+            .fixed("engineer_secs", t.engineer_secs, 3)
+            .fixed("vaccinate_secs", t.vaccinate_secs, 3)
+            .fixed("baseline_secs", t.baseline_secs, 3)
+    });
+    header("experiments", harness.seed, threads(parallelism), false)
+        .field(
+            "scale",
+            match harness.scale {
+                ExperimentScale::Small => "small",
+                ExperimentScale::Full => "full",
+            },
+        )
+        .field("experiments", experiments)
+        .fixed("sim_instrs_per_sec", sim.event_ips(), 0)
+        .fixed("sim_scan_instrs_per_sec", sim.scan_ips(), 0)
+        .fixed("sim_speedup", sim.speedup(), 3)
+        .field("sim_committed_instrs", sim.committed)
+        .field("pipeline_stages", stages)
+        // Deterministic metrics from the metered defense pass: sorted keys,
+        // integer values, wall-clock timers excluded — byte-identical at any
+        // thread count (`Registry::to_json` is already a JSON object).
+        .field("metrics", obs.map(|reg| Value::Raw(reg.to_json())))
+        .fixed("total_secs", total_secs, 3)
 }

@@ -5,68 +5,48 @@
 //! fault_matrix [--seed N] [--iters N] [--threads N] [--smoke]
 //! ```
 //!
-//! `--smoke` caps the per-cell iteration count at 2 (the CI setting).
-//! Exits non-zero when any cell panicked or failed open — the harness's
-//! whole point is that it never does.
+//! `--smoke` sets the per-cell iteration count to 2 (the CI setting)
+//! unless `--iters` says otherwise. Exits non-zero when any cell panicked
+//! or failed open — the harness's whole point is that it never does.
 
 use std::process::ExitCode;
 
+use evax_bench::cli::{self, Args};
 use evax_bench::fault_matrix::run_fault_matrix;
-use evax_core::prelude::Parallelism;
+use evax_core::par::Parallelism;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 42u64;
-    let mut iters = 8u32;
-    let mut parallelism = Parallelism::Auto;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                seed = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("--seed requires an integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--iters" => {
-                i += 1;
-                iters = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("--iters requires a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--threads" => {
-                i += 1;
-                parallelism = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => Parallelism::Fixed(n),
-                    _ => {
-                        eprintln!("--threads requires a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--smoke" => iters = iters.min(2),
-            other => {
-                eprintln!("unknown argument '{other}'");
-                eprintln!("usage: fault_matrix [--seed N] [--iters N] [--threads N] [--smoke]");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
+    run().err().unwrap_or(ExitCode::SUCCESS)
+}
 
+fn run() -> Result<(), ExitCode> {
+    let (seed, iters, parallelism) = cli::parse(parse)?;
     let matrix = run_fault_matrix(seed, iters, parallelism);
     print!("{}", matrix.render());
     if matrix.violations().is_empty() {
-        ExitCode::SUCCESS
+        Ok(())
     } else {
-        ExitCode::FAILURE
+        Err(ExitCode::FAILURE)
     }
+}
+
+/// The command line: seed, per-cell iterations (2 under `--smoke`, else
+/// 8), worker setting.
+fn parse(argv: Vec<String>) -> Result<(u64, u32, Parallelism), String> {
+    let mut args = Args::new(
+        "fault_matrix [--seed N] [--iters N] [--threads N] [--smoke]",
+        argv,
+    );
+    let (mut seed, mut parallelism) = (42, Parallelism::Auto);
+    let mut iters = if args.smoke { 2 } else { 8 };
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--seed" => seed = args.seed()?,
+            "--iters" => iters = args.positive()?,
+            "--threads" => parallelism = args.threads()?,
+            "--smoke" => {}
+            _ => return Err(args.unknown()),
+        }
+    }
+    Ok((seed, iters, parallelism))
 }

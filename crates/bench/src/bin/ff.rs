@@ -11,63 +11,18 @@
 
 use std::process::ExitCode;
 
-use evax_bench::ff_bench::{run_ff_bench, FfBenchConfig};
-use evax_core::prelude::Parallelism;
+use evax_bench::cli;
+use evax_bench::ff_bench::{self, run_ff_bench};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = FfBenchConfig::default();
-    let mut out = String::from("BENCH_ff.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                cfg.seed = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("--seed requires an integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--threads" => {
-                i += 1;
-                cfg.parallelism = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => Parallelism::Fixed(n),
-                    _ => {
-                        eprintln!("--threads requires a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--smoke" => cfg.smoke = true,
-            "--out" => {
-                i += 1;
-                out = match args.get(i) {
-                    Some(p) => p.clone(),
-                    None => {
-                        eprintln!("--out requires a path");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                eprintln!("usage: ff [--seed N] [--threads N] [--smoke] [--out PATH]");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
+    run().err().unwrap_or(ExitCode::SUCCESS)
+}
+
+fn run() -> Result<(), ExitCode> {
+    let (cfg, out) = cli::parse(ff_bench::cli)?;
 
     let report = run_ff_bench(&cfg);
-    let json = report.to_json();
-    print!("{json}");
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("error: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    cli::emit(&report.to_json(), &out)?;
     eprintln!(
         "[ff] functional {:.0} instrs/s vs detailed {:.0} instrs/s ({:.1}x); \
          corpus {:.2}x, fleet warm {:.2}x, drift flip rate {:.3}",
@@ -78,5 +33,5 @@ fn main() -> ExitCode {
         report.fleet.cold_secs / report.fleet.warm_secs.max(1e-9),
         report.drift.flip_rate()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -11,59 +11,17 @@
 
 use std::process::ExitCode;
 
+use evax_bench::cli::{self, Args};
 use evax_bench::obs_pass::{default_programs, smoke_programs};
 use evax_bench::obs_report::obs_report;
-use evax_core::prelude::Parallelism;
+use evax_core::par::Parallelism;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 42u64;
-    let mut parallelism = Parallelism::Auto;
-    let mut smoke = false;
-    let mut jsonl: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                seed = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("--seed requires an integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--threads" => {
-                i += 1;
-                parallelism = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => Parallelism::Fixed(n),
-                    _ => {
-                        eprintln!("--threads requires a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--smoke" => smoke = true,
-            "--jsonl" => {
-                i += 1;
-                jsonl = match args.get(i) {
-                    Some(p) => Some(p.clone()),
-                    None => {
-                        eprintln!("--jsonl requires a path");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                eprintln!("usage: obs_report [--seed N] [--threads N] [--smoke] [--jsonl PATH]");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
+    run().err().unwrap_or(ExitCode::SUCCESS)
+}
 
+fn run() -> Result<(), ExitCode> {
+    let (seed, parallelism, smoke, jsonl) = cli::parse(parse)?;
     let programs = if smoke {
         smoke_programs()
     } else {
@@ -72,11 +30,27 @@ fn main() -> ExitCode {
     let (registry, report) = obs_report(seed, parallelism, &programs);
     print!("{report}");
     if let Some(path) = jsonl {
-        if let Err(e) = std::fs::write(&path, registry.to_jsonl()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        cli::write(&path, &registry.to_jsonl())?;
         eprintln!("wrote metrics JSONL to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// The command line: seed, worker setting, `--smoke`, JSONL path.
+fn parse(argv: Vec<String>) -> Result<(u64, Parallelism, bool, Option<String>), String> {
+    let mut args = Args::new(
+        "obs_report [--seed N] [--threads N] [--smoke] [--jsonl PATH]",
+        argv,
+    );
+    let (mut seed, mut parallelism, mut jsonl) = (42, Parallelism::Auto, None);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--seed" => seed = args.seed()?,
+            "--threads" => parallelism = args.threads()?,
+            "--smoke" => {}
+            "--jsonl" => jsonl = Some(args.path()?),
+            _ => return Err(args.unknown()),
+        }
+    }
+    Ok((seed, parallelism, args.smoke, jsonl))
 }

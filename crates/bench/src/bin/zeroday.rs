@@ -9,149 +9,29 @@
 //!
 //! `--smoke` is the CI setting: one run per program over a short
 //! instruction budget, enough to prove the pipeline runs end-to-end and
-//! the artifact is well-formed. Exits non-zero if fewer than 3 of the 4
-//! held-out categories are detected at the target false-positive rate, or
-//! — on full-size runs — if adding the `energy.*` features does not
-//! improve mean held-out detection over HPC-only features, if fewer than
-//! 3 of the 4 busy-carrier composed attacks clear the carrier bar, or if
-//! the benign-carrier false-positive rate exceeds the target (smoke
-//! corpora are too small to resolve those margins).
+//! the artifact is well-formed; explicit flags override the preset in any
+//! order. Exits non-zero if fewer than 3 of the 4 held-out categories are
+//! detected at the target false-positive rate, or — on full-size runs — if
+//! adding the `energy.*` features does not improve mean held-out detection
+//! over HPC-only features, if fewer than 3 of the 4 busy-carrier composed
+//! attacks clear the carrier bar, or if the benign-carrier false-positive
+//! rate exceeds the target (smoke corpora are too small to resolve those
+//! margins).
 
 use std::process::ExitCode;
 
-use evax_bench::zeroday_bench::{run_zeroday, ZerodayConfig};
-use evax_core::par::Parallelism;
+use evax_bench::cli;
+use evax_bench::zeroday_bench::{self, run_zeroday};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = ZerodayConfig::default();
-    let mut out = String::from("BENCH_zeroday.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                cfg.seed = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("--seed requires an integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--instrs" => {
-                i += 1;
-                cfg.max_instrs = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1000 => n,
-                    _ => {
-                        eprintln!("--instrs requires an integer >= 1000");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--runs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => {
-                        cfg.benign_runs = n;
-                        cfg.attack_runs = n;
-                    }
-                    _ => {
-                        eprintln!("--runs requires a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--fpr" => {
-                i += 1;
-                cfg.fpr = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(f) if (0.0..=0.5).contains(&f) => f,
-                    _ => {
-                        eprintln!("--fpr requires a fraction in [0, 0.5]");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--topk" => {
-                i += 1;
-                cfg.top_k = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(k) => k,
-                    None => {
-                        eprintln!("--topk requires an integer (0 = all dims)");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--bar" => {
-                i += 1;
-                cfg.detect_bar = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(b) if (0.0..=1.0).contains(&b) => b,
-                    _ => {
-                        eprintln!("--bar requires a fraction in [0, 1]");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--carrier-bar" => {
-                i += 1;
-                cfg.carrier_bar = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(b) if (0.0..=1.0).contains(&b) => b,
-                    _ => {
-                        eprintln!("--carrier-bar requires a fraction in [0, 1]");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--threads" => {
-                i += 1;
-                cfg.parallelism = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => Parallelism::Fixed(n),
-                    _ => {
-                        eprintln!("--threads requires a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--smoke" => {
-                let seed = cfg.seed;
-                let (top_k, bar, carrier_bar) = (cfg.top_k, cfg.detect_bar, cfg.carrier_bar);
-                let parallelism = cfg.parallelism;
-                cfg = ZerodayConfig::smoke(seed);
-                cfg.top_k = top_k;
-                cfg.detect_bar = bar;
-                cfg.carrier_bar = carrier_bar;
-                cfg.parallelism = parallelism;
-            }
-            "--out" => {
-                i += 1;
-                out = match args.get(i) {
-                    Some(p) => p.clone(),
-                    None => {
-                        eprintln!("--out requires a path");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                eprintln!(
-                    "usage: zeroday [--seed N] [--instrs N] [--runs N] [--fpr F] \
-                     [--topk K] [--bar F] [--carrier-bar F] [--threads N] \
-                     [--smoke] [--out PATH]"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
+    run().err().unwrap_or(ExitCode::SUCCESS)
+}
+
+fn run() -> Result<(), ExitCode> {
+    let (cfg, out) = cli::parse(zeroday_bench::cli)?;
 
     let report = run_zeroday(&cfg);
-    let json = report.to_json();
-    print!("{json}");
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("error: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    cli::emit(&report.to_json(), &out)?;
     eprintln!(
         "[zeroday] {}/4 categories detected with energy (hpc-only {}/4); \
          mean TPR {:.3} vs {:.3}; held-out FPR {:.4} vs {:.4}",
@@ -170,44 +50,5 @@ fn main() -> ExitCode {
         report.carrier.fpr_full,
         report.carrier.fpr_full - report.fpr_energy,
     );
-    if report.detected_energy() < 3 {
-        eprintln!(
-            "error: only {}/4 held-out categories detected (need >= 3)",
-            report.detected_energy()
-        );
-        return ExitCode::FAILURE;
-    }
-    if report.fpr_energy > cfg.fpr || report.fpr_hpc > cfg.fpr {
-        eprintln!(
-            "error: held-out benign FPR {:.4} (hpc {:.4}) exceeds target {:.4}",
-            report.fpr_energy, report.fpr_hpc, cfg.fpr
-        );
-        return ExitCode::FAILURE;
-    }
-    if !cfg.smoke && report.mean_tpr_energy() <= report.mean_tpr_hpc() {
-        eprintln!(
-            "error: energy features did not improve mean held-out TPR \
-             ({:.4} vs {:.4})",
-            report.mean_tpr_energy(),
-            report.mean_tpr_hpc()
-        );
-        return ExitCode::FAILURE;
-    }
-    if !cfg.smoke {
-        if report.carrier.detected_full(cfg.carrier_bar) < 3 {
-            eprintln!(
-                "error: only {}/4 busy-carrier composed attacks detected (need >= 3)",
-                report.carrier.detected_full(cfg.carrier_bar)
-            );
-            return ExitCode::FAILURE;
-        }
-        if report.carrier.fpr_full > cfg.fpr {
-            eprintln!(
-                "error: benign-carrier FPR {:.4} exceeds target {:.4}",
-                report.carrier.fpr_full, cfg.fpr
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    report.check().map_err(cli::fail)
 }

@@ -30,6 +30,8 @@ use evax_sim::{Cpu, CpuConfig, SampleSchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::artifact::{header, threads, Object};
+use crate::cli::Args;
 use crate::harness::timed;
 
 /// Fast-forward benchmark configuration (CLI-shaped).
@@ -131,8 +133,6 @@ impl DriftStats {
 pub struct FfBenchReport {
     /// The configuration the run used.
     pub config: FfBenchConfig,
-    /// Cores the machine exposes.
-    pub cores: usize,
     /// Functional (fast-forward) pass over the registry mix.
     pub functional: ModePass,
     /// Detailed (event-driven) pass over the same mix.
@@ -379,7 +379,6 @@ pub fn run_ff_bench(cfg: &FfBenchConfig) -> FfBenchReport {
 
     FfBenchReport {
         config: cfg.clone(),
-        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         functional,
         detailed,
         corpus,
@@ -391,67 +390,87 @@ pub fn run_ff_bench(cfg: &FfBenchConfig) -> FfBenchReport {
 impl FfBenchReport {
     /// Renders `BENCH_ff.json`.
     pub fn to_json(&self) -> String {
-        let threads = match self.config.parallelism {
-            Parallelism::Fixed(n) => n.to_string(),
-            _ => "\"auto\"".to_string(),
+        let mode = |m: &ModePass| {
+            Object::new()
+                .field("programs", m.programs)
+                .field("instrs", m.instrs)
+                .fixed("secs", m.secs, 3)
+                .fixed("instrs_per_sec", m.ips(), 0)
         };
-        let c = &self.corpus;
-        let f = &self.fleet;
-        let d = &self.drift;
-        format!(
-            "{{\n  \"seed\": {}, \"smoke\": {}, \"cores\": {}, \"threads\": {},\n  \
-             \"functional\": {{\"programs\": {}, \"instrs\": {}, \"secs\": {:.3}, \
-             \"instrs_per_sec\": {:.0}}},\n  \
-             \"detailed\": {{\"programs\": {}, \"instrs\": {}, \"secs\": {:.3}, \
-             \"instrs_per_sec\": {:.0}}},\n  \
-             \"functional_vs_detailed_speedup\": {:.2},\n  \
-             \"corpus\": {{\"warmup_instrs\": {}, \"detail_instrs\": {}, \
-             \"detailed_secs\": {:.3}, \"detailed_samples\": {}, \"ff_secs\": {:.3}, \
-             \"ff_samples\": {}, \"speedup\": {:.2}}},\n  \
-             \"fleet\": {{\"cold_secs\": {:.3}, \"cold_windows\": {}, \
-             \"warm_secs\": {:.3}, \"warm_windows\": {}, \"speedup\": {:.2}}},\n  \
-             \"drift\": {{\"programs\": {}, \"verdict_flips\": {}, \"flip_rate\": {:.3}, \
-             \"detailed_windows\": {}, \"detailed_flags\": {}, \"ff_windows\": {}, \
-             \"ff_flags\": {}}},\n  \
-             \"note\": \"functional mode retires instructions architecturally with \
-             touch-only cache/TLB/predictor warm-up, so fast-forwarded windows are \
-             approximate; the drift block quantifies the cost. ff corpus samples are \
-             fewer by design (warm-up produces no windows). fleet warm_secs includes \
-             building the per-program snapshot pool.\"\n}}\n",
-            self.config.seed,
-            self.config.smoke,
-            self.cores,
-            threads,
-            self.functional.programs,
-            self.functional.instrs,
-            self.functional.secs,
-            self.functional.ips(),
-            self.detailed.programs,
-            self.detailed.instrs,
-            self.detailed.secs,
-            self.detailed.ips(),
-            self.functional.ips() / self.detailed.ips().max(1e-9),
-            c.warmup_instrs,
-            c.detail_instrs,
-            c.detailed_secs,
-            c.detailed_samples,
-            c.ff_secs,
-            c.ff_samples,
-            c.detailed_secs / c.ff_secs.max(1e-9),
-            f.cold_secs,
-            f.cold_windows,
-            f.warm_secs,
-            f.warm_windows,
-            f.cold_secs / f.warm_secs.max(1e-9),
-            d.programs,
-            d.verdict_flips,
-            d.flip_rate(),
-            d.detailed_windows,
-            d.detailed_flags,
-            d.ff_windows,
-            d.ff_flags,
-        )
+        let (c, f, d) = (&self.corpus, &self.fleet, &self.drift);
+        let cfg = &self.config;
+        header("ff", cfg.seed, threads(cfg.parallelism), cfg.smoke)
+            .field("functional", mode(&self.functional))
+            .field("detailed", mode(&self.detailed))
+            .fixed(
+                "functional_vs_detailed_speedup",
+                self.functional.ips() / self.detailed.ips().max(1e-9),
+                2,
+            )
+            .field(
+                "corpus",
+                Object::new()
+                    .field("warmup_instrs", c.warmup_instrs)
+                    .field("detail_instrs", c.detail_instrs)
+                    .fixed("detailed_secs", c.detailed_secs, 3)
+                    .field("detailed_samples", c.detailed_samples)
+                    .fixed("ff_secs", c.ff_secs, 3)
+                    .field("ff_samples", c.ff_samples)
+                    .fixed("speedup", c.detailed_secs / c.ff_secs.max(1e-9), 2),
+            )
+            .field(
+                "fleet",
+                Object::new()
+                    .fixed("cold_secs", f.cold_secs, 3)
+                    .field("cold_windows", f.cold_windows)
+                    .fixed("warm_secs", f.warm_secs, 3)
+                    .field("warm_windows", f.warm_windows)
+                    .fixed("speedup", f.cold_secs / f.warm_secs.max(1e-9), 2),
+            )
+            .field(
+                "drift",
+                Object::new()
+                    .field("programs", d.programs)
+                    .field("verdict_flips", d.verdict_flips)
+                    .fixed("flip_rate", d.flip_rate(), 3)
+                    .field("detailed_windows", d.detailed_windows)
+                    .field("detailed_flags", d.detailed_flags)
+                    .field("ff_windows", d.ff_windows)
+                    .field("ff_flags", d.ff_flags),
+            )
+            .field(
+                "note",
+                "functional mode retires instructions architecturally with touch-only \
+                 cache/TLB/predictor warm-up, so fast-forwarded windows are approximate; the \
+                 drift block quantifies the cost. ff corpus samples are fewer by design \
+                 (warm-up produces no windows). fleet warm_secs includes building the \
+                 per-program snapshot pool.",
+            )
+            .render()
     }
+}
+
+/// The `ff` binary's command line: the configuration and the artifact path.
+///
+/// # Errors
+/// The first bad, missing or unknown argument, with the usage line.
+pub fn cli(argv: Vec<String>) -> Result<(FfBenchConfig, String), String> {
+    let mut args = Args::new("ff [--seed N] [--threads N] [--smoke] [--out PATH]", argv);
+    let mut cfg = FfBenchConfig {
+        smoke: args.smoke,
+        ..FfBenchConfig::default()
+    };
+    let mut out = "BENCH_ff.json".to_string();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--seed" => cfg.seed = args.seed()?,
+            "--threads" => cfg.parallelism = args.threads()?,
+            "--smoke" => {}
+            "--out" => out = args.path()?,
+            _ => return Err(args.unknown()),
+        }
+    }
+    Ok((cfg, out))
 }
 
 #[cfg(test)]
@@ -478,7 +497,6 @@ mod tests {
     fn report_renders_valid_shape() {
         let report = FfBenchReport {
             config: FfBenchConfig::default(),
-            cores: 4,
             functional: ModePass {
                 programs: 31,
                 instrs: 1_000_000,

@@ -25,6 +25,8 @@ use evax_defense::fleet::{run_fleet, FleetConfig, FleetReport, InferenceMode};
 use evax_sim::CpuConfig;
 use rand::SeedableRng;
 
+use crate::artifact::{header, threads, Object, Value};
+use crate::cli::Args;
 use crate::harness::timed;
 
 /// Fleet benchmark configuration (CLI-shaped).
@@ -50,6 +52,18 @@ impl Default for FleetBenchConfig {
             parallelism: Parallelism::Auto,
             quantized: true,
             smoke: false,
+        }
+    }
+}
+
+impl FleetBenchConfig {
+    /// The CI preset: 64 streams at smoke scale.
+    pub fn smoke(seed: u64) -> FleetBenchConfig {
+        FleetBenchConfig {
+            n_streams: 64,
+            seed,
+            smoke: true,
+            ..FleetBenchConfig::default()
         }
     }
 }
@@ -109,9 +123,6 @@ pub struct DrainBench {
 pub struct FleetBenchReport {
     /// The configuration the run used.
     pub config: FleetBenchConfig,
-    /// Cores the machine exposes — threaded drain numbers only mean
-    /// something when this is ≥ the kernel thread count.
-    pub cores: usize,
     /// Per-window baseline pass.
     pub per_window: FleetPass,
     /// Batched f32 pass.
@@ -331,7 +342,6 @@ pub fn run_fleet_bench(cfg: &FleetBenchConfig) -> FleetBenchReport {
 
     FleetBenchReport {
         config: cfg.clone(),
-        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         per_window,
         batched_f32,
         batched_quant,
@@ -339,70 +349,84 @@ pub fn run_fleet_bench(cfg: &FleetBenchConfig) -> FleetBenchReport {
     }
 }
 
-fn pass_json(p: &FleetPass) -> String {
-    format!(
-        concat!(
-            "{{\"mode\": \"{}\", \"windows\": {}, \"secs\": {:.3}, ",
-            "\"windows_per_sec\": {:.0}, \"sim_secs\": {:.3}, ",
-            "\"inference_secs\": {:.3}, \"p50_ns\": {}, \"p99_ns\": {}, ",
-            "\"deterministic\": {}}}"
-        ),
-        p.mode,
-        p.windows,
-        p.secs,
-        p.windows_per_sec,
-        p.sim_secs,
-        p.inference_secs,
-        p.p50_ns,
-        p.p99_ns,
-        p.deterministic
-    )
+fn pass_json(p: &FleetPass) -> Object {
+    Object::new()
+        .field("mode", p.mode)
+        .field("windows", p.windows)
+        .fixed("secs", p.secs, 3)
+        .fixed("windows_per_sec", p.windows_per_sec, 0)
+        .fixed("sim_secs", p.sim_secs, 3)
+        .fixed("inference_secs", p.inference_secs, 3)
+        .field("p50_ns", p.p50_ns)
+        .field("p99_ns", p.p99_ns)
+        .field("deterministic", Value::Raw(p.deterministic.clone()))
 }
 
 impl FleetBenchReport {
-    /// Renders `BENCH_fleet.json`.
+    /// Renders `BENCH_fleet.json`; `cores` in the header says whether the
+    /// threaded drain numbers mean anything (they need ≥ `kernel_threads`).
     pub fn to_json(&self) -> String {
-        let threads = match self.config.parallelism {
-            Parallelism::Fixed(n) => n.to_string(),
-            _ => "\"auto\"".to_string(),
-        };
-        let quant = self
-            .batched_quant
-            .as_ref()
-            .map_or("null".to_string(), pass_json);
         let d = &self.drain;
-        format!(
-            "{{\n  \"streams\": {}, \"seed\": {}, \"threads\": {}, \"smoke\": {}, \"cores\": {},\n  \
-             \"per_window\": {},\n  \
-             \"batched_f32\": {},\n  \
-             \"batched_quant\": {},\n  \
-             \"end_to_end_speedup\": {:.3},\n  \
-             \"inference_drain\": {{\"rows\": {}, \"dim\": {}, \"reps\": {}, \
-             \"kernel_threads\": {}, \"per_window_classify_secs\": {:.6}, \
-             \"batched_f32_secs\": {:.6}, \"batched_quant_secs\": {:.6}, \
-             \"batched_vs_per_window_speedup\": {:.3}}},\n  \
-             \"note\": \"end-to-end passes are simulation-dominated; the \
-             inference_drain block isolates the batched kernel vs the \
-             allocating per-window classify baseline on identical rows; on \
-             machines with fewer cores than kernel_threads the threaded \
-             speedup only measures substrate overhead\"\n}}\n",
-            self.config.n_streams,
-            self.config.seed,
-            threads,
-            self.config.smoke,
-            self.cores,
-            pass_json(&self.per_window),
-            pass_json(&self.batched_f32),
-            quant,
-            self.batched_f32.windows_per_sec / self.per_window.windows_per_sec.max(1e-12),
-            d.rows,
-            d.dim,
-            d.reps,
-            d.kernel_threads,
-            d.per_window_secs,
-            d.batched_secs,
-            d.quant_secs,
-            d.speedup,
-        )
+        let c = &self.config;
+        header("fleet", c.seed, threads(c.parallelism), c.smoke)
+            .field("streams", c.n_streams)
+            .field("per_window", pass_json(&self.per_window))
+            .field("batched_f32", pass_json(&self.batched_f32))
+            .field("batched_quant", self.batched_quant.as_ref().map(pass_json))
+            .fixed(
+                "end_to_end_speedup",
+                self.batched_f32.windows_per_sec / self.per_window.windows_per_sec.max(1e-12),
+                3,
+            )
+            .field(
+                "inference_drain",
+                Object::new()
+                    .field("rows", d.rows)
+                    .field("dim", d.dim)
+                    .field("reps", d.reps)
+                    .field("kernel_threads", d.kernel_threads)
+                    .fixed("per_window_classify_secs", d.per_window_secs, 6)
+                    .fixed("batched_f32_secs", d.batched_secs, 6)
+                    .fixed("batched_quant_secs", d.quant_secs, 6)
+                    .fixed("batched_vs_per_window_speedup", d.speedup, 3),
+            )
+            .field(
+                "note",
+                "end-to-end passes are simulation-dominated; the inference_drain block \
+                 isolates the batched kernel vs the allocating per-window classify baseline \
+                 on identical rows; on machines with fewer cores than kernel_threads the \
+                 threaded speedup only measures substrate overhead",
+            )
+            .render()
     }
+}
+
+/// The `fleet` binary's command line: the configuration and the artifact
+/// path. `--smoke` selects [`FleetBenchConfig::smoke`], and explicit flags
+/// override it.
+///
+/// # Errors
+/// The first bad, missing or unknown argument, with the usage line.
+pub fn cli(argv: Vec<String>) -> Result<(FleetBenchConfig, String), String> {
+    let mut args = Args::new(
+        "fleet [--streams N] [--seed N] [--threads N] [--smoke] [--no-quant] [--out PATH]",
+        argv,
+    );
+    let mut cfg = FleetBenchConfig::default();
+    if args.smoke {
+        cfg = FleetBenchConfig::smoke(cfg.seed);
+    }
+    let mut out = "BENCH_fleet.json".to_string();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--streams" => cfg.n_streams = args.positive()?,
+            "--seed" => cfg.seed = args.seed()?,
+            "--threads" => cfg.parallelism = args.threads()?,
+            "--smoke" => {}
+            "--no-quant" => cfg.quantized = false,
+            "--out" => out = args.path()?,
+            _ => return Err(args.unknown()),
+        }
+    }
+    Ok((cfg, out))
 }

@@ -21,6 +21,8 @@
 #![warn(missing_docs)]
 
 pub mod armsrace;
+pub mod artifact;
+pub mod cli;
 pub mod exp_ablations;
 pub mod exp_gan;
 pub mod exp_hpc;

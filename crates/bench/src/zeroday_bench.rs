@@ -39,6 +39,9 @@ use evax_sim::{CpuConfig, SensorConfig, HPC_BASE_DIM};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::artifact::{header, threads, Object, Value};
+use crate::cli::Args;
+
 /// The four held-out attack families partitioning the full
 /// [`evax_attacks::ATTACK_CLASSES`] registry.
 pub const CATEGORIES: [(&str, &[AttackClass]); 4] = [
@@ -278,132 +281,128 @@ impl ZerodayReport {
     /// the carrier bar with the benign-carrier FPR still at or under
     /// target. Smoke runs skip the improvement and carrier gates: a
     /// one-run corpus is too small to resolve those margins.
-    pub fn passes(&self) -> bool {
-        let gates = self.detected_energy() >= 3
-            && self.fpr_energy <= self.config.fpr
-            && self.fpr_hpc <= self.config.fpr;
-        if self.config.smoke {
-            gates
+    ///
+    /// # Errors
+    /// The first gate that fails, as a message.
+    pub fn check(&self) -> Result<(), String> {
+        let (cfg, detected) = (&self.config, self.detected_energy());
+        let carriers = self.carrier.detected_full(cfg.carrier_bar);
+        let (tpr_energy, tpr_hpc) = (self.mean_tpr_energy(), self.mean_tpr_hpc());
+        if detected < 3 {
+            Err(format!(
+                "only {detected}/4 held-out categories detected (need >= 3)"
+            ))
+        } else if self.fpr_energy > cfg.fpr || self.fpr_hpc > cfg.fpr {
+            Err(format!(
+                "held-out benign FPR {:.4} (hpc {:.4}) exceeds target {:.4}",
+                self.fpr_energy, self.fpr_hpc, cfg.fpr
+            ))
+        } else if cfg.smoke {
+            Ok(())
+        } else if tpr_energy <= tpr_hpc {
+            Err(format!(
+                "energy features did not improve mean held-out TPR ({tpr_energy:.4} vs {tpr_hpc:.4})"
+            ))
+        } else if carriers < 3 {
+            Err(format!(
+                "only {carriers}/4 busy-carrier composed attacks detected (need >= 3)"
+            ))
+        } else if self.carrier.fpr_full > cfg.fpr {
+            Err(format!(
+                "benign-carrier FPR {:.4} exceeds target {:.4}",
+                self.carrier.fpr_full, cfg.fpr
+            ))
         } else {
-            gates
-                && self.mean_tpr_energy() > self.mean_tpr_hpc()
-                && self.carrier.detected_full(self.config.carrier_bar) >= 3
-                && self.carrier.fpr_full <= self.config.fpr
+            Ok(())
         }
     }
 
-    /// Serializes the report as a JSON object (hand-rolled; the vendored
-    /// serde is a no-op stand-in).
+    /// Serializes the report as `BENCH_zeroday.json`.
     pub fn to_json(&self) -> String {
-        let mut cats = String::new();
-        for (i, c) in self.categories.iter().enumerate() {
-            if i > 0 {
-                cats.push_str(", ");
-            }
-            let mut classes = String::new();
-            for (j, k) in c.classes.iter().enumerate() {
-                if j > 0 {
-                    classes.push_str(", ");
-                }
-                classes.push_str(&format!(
-                    "{{\"name\": \"{}\", \"windows\": {}, \"tpr_hpc\": {:.6}, \
-                     \"tpr_energy\": {:.6}}}",
-                    k.name,
-                    k.windows,
-                    rate(k.hits_hpc, k.windows),
-                    rate(k.hits_energy, k.windows),
-                ));
-            }
-            cats.push_str(&format!(
-                "{{\"name\": \"{}\", \"tpr_hpc\": {:.6}, \"tpr_energy\": {:.6}, \
-                 \"detected_hpc\": {}, \"detected_energy\": {}, \"classes\": [{}]}}",
-                c.name,
-                c.tpr_hpc,
-                c.tpr_energy,
-                c.tpr_hpc >= self.config.detect_bar,
-                c.tpr_energy >= self.config.detect_bar,
-                classes,
-            ));
-        }
-        let threads = match self.config.parallelism {
-            Parallelism::Fixed(n) => n.to_string(),
-            _ => "\"auto\"".to_string(),
-        };
-        let mut traces = String::new();
-        for (i, t) in self.carrier.traces.iter().enumerate() {
-            if i > 0 {
-                traces.push_str(", ");
-            }
-            let tpr_full = rate(t.hits_full, t.windows);
-            traces.push_str(&format!(
-                "{{\"name\": \"{}\", \"clean_category\": \"{}\", \"windows\": {}, \
-                 \"tpr_hpc\": {:.6}, \"tpr_full\": {:.6}, \
-                 \"tpr_delta_vs_clean\": {:.6}, \"detected\": {}}}",
-                t.name,
-                t.clean_category,
-                t.windows,
-                rate(t.hits_hpc, t.windows),
-                tpr_full,
-                tpr_full - self.clean_tpr_for(t),
-                tpr_full >= self.config.carrier_bar,
-            ));
-        }
-        let carrier = format!(
-            "{{\n    \"carriers\": {}, \"composed_attacks\": {}, \"carrier_bar\": {:.6}, \
-             \"dim_full\": {},\n    \"benign_windows\": [{}, {}, {}],\n    \
-             \"carrier_fpr_hpc\": {:.6}, \"carrier_fpr_full\": {:.6}, \
-             \"carrier_fpr_delta_vs_clean\": {:.6},\n    \
-             \"carrier_detected_hpc\": {}, \"carrier_detected_full\": {},\n    \
-             \"traces\": [{}]\n  }}",
-            CARRIER_KINDS.len(),
-            CARRIER_ATTACKS.len(),
-            self.config.carrier_bar,
-            HPC_BASE_DIM + evax_sim::ENERGY_DIM + evax_sim::DEVICE_DIM,
-            self.carrier.benign_windows[0],
-            self.carrier.benign_windows[1],
-            self.carrier.benign_windows[2],
-            self.carrier.fpr_hpc,
-            self.carrier.fpr_full,
-            self.carrier.fpr_full - self.fpr_energy,
-            self.carrier.detected_hpc(self.config.carrier_bar),
-            self.carrier.detected_full(self.config.carrier_bar),
-            traces,
-        );
-        format!(
-            "{{\n  \"bench\": \"zeroday\",\n  \"seed\": {},\n  \"smoke\": {},\n  \
-             \"cores\": {},\n  \"threads\": {},\n  \"interval\": {},\n  \
-             \"max_instrs\": {},\n  \"fpr_target\": {:.6},\n  \"detect_bar\": {:.6},\n  \
-             \"top_k\": {},\n  \"dim_hpc\": {},\n  \"dim_energy\": {},\n  \
-             \"benign_windows\": [{}, {}, {}],\n  \"fpr_hpc\": {:.6},\n  \
-             \"fpr_energy\": {:.6},\n  \"mean_tpr_hpc\": {:.6},\n  \
-             \"mean_tpr_energy\": {:.6},\n  \"detected_hpc\": {},\n  \
-             \"detected_energy\": {},\n  \"energy_improves\": {},\n  \"pass\": {},\n  \
-             \"categories\": [{}],\n  \"carrier\": {}\n}}\n",
-            self.config.seed,
-            self.config.smoke,
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-            threads,
-            self.config.interval,
-            self.config.max_instrs,
-            self.config.fpr,
-            self.config.detect_bar,
-            self.config.top_k,
-            HPC_BASE_DIM,
-            HPC_BASE_DIM + evax_sim::ENERGY_DIM,
-            self.benign_windows[0],
-            self.benign_windows[1],
-            self.benign_windows[2],
-            self.fpr_hpc,
-            self.fpr_energy,
-            self.mean_tpr_hpc(),
-            self.mean_tpr_energy(),
-            self.detected_hpc(),
-            self.detected_energy(),
-            self.mean_tpr_energy() > self.mean_tpr_hpc(),
-            self.passes(),
-            cats,
-            carrier,
-        )
+        let cfg = &self.config;
+        let categories: Value = self
+            .categories
+            .iter()
+            .map(|c| {
+                let classes: Value = c
+                    .classes
+                    .iter()
+                    .map(|k| {
+                        Object::new()
+                            .field("name", k.name)
+                            .field("windows", k.windows)
+                            .fixed("tpr_hpc", rate(k.hits_hpc, k.windows), 6)
+                            .fixed("tpr_energy", rate(k.hits_energy, k.windows), 6)
+                    })
+                    .collect();
+                Object::new()
+                    .field("name", c.name)
+                    .fixed("tpr_hpc", c.tpr_hpc, 6)
+                    .fixed("tpr_energy", c.tpr_energy, 6)
+                    .field("detected_hpc", c.tpr_hpc >= cfg.detect_bar)
+                    .field("detected_energy", c.tpr_energy >= cfg.detect_bar)
+                    .field("classes", classes)
+            })
+            .collect();
+        let traces: Value = self
+            .carrier
+            .traces
+            .iter()
+            .map(|t| {
+                let tpr_full = rate(t.hits_full, t.windows);
+                Object::new()
+                    .field("name", t.name)
+                    .field("clean_category", t.clean_category)
+                    .field("windows", t.windows)
+                    .fixed("tpr_hpc", rate(t.hits_hpc, t.windows), 6)
+                    .fixed("tpr_full", tpr_full, 6)
+                    .fixed("tpr_delta_vs_clean", tpr_full - self.clean_tpr_for(t), 6)
+                    .field("detected", tpr_full >= cfg.carrier_bar)
+            })
+            .collect();
+        let ca = &self.carrier;
+        let carrier = Object::new()
+            .field("carriers", CARRIER_KINDS.len())
+            .field("composed_attacks", CARRIER_ATTACKS.len())
+            .fixed("carrier_bar", cfg.carrier_bar, 6)
+            .field(
+                "dim_full",
+                HPC_BASE_DIM + evax_sim::ENERGY_DIM + evax_sim::DEVICE_DIM,
+            )
+            .field("benign_windows", ca.benign_windows)
+            .fixed("carrier_fpr_hpc", ca.fpr_hpc, 6)
+            .fixed("carrier_fpr_full", ca.fpr_full, 6)
+            .fixed(
+                "carrier_fpr_delta_vs_clean",
+                ca.fpr_full - self.fpr_energy,
+                6,
+            )
+            .field("carrier_detected_hpc", ca.detected_hpc(cfg.carrier_bar))
+            .field("carrier_detected_full", ca.detected_full(cfg.carrier_bar))
+            .field("traces", traces);
+        header("zeroday", cfg.seed, threads(cfg.parallelism), cfg.smoke)
+            .field("interval", cfg.interval)
+            .field("max_instrs", cfg.max_instrs)
+            .fixed("fpr_target", cfg.fpr, 6)
+            .fixed("detect_bar", cfg.detect_bar, 6)
+            .field("top_k", cfg.top_k)
+            .field("dim_hpc", HPC_BASE_DIM)
+            .field("dim_energy", HPC_BASE_DIM + evax_sim::ENERGY_DIM)
+            .field("benign_windows", self.benign_windows)
+            .fixed("fpr_hpc", self.fpr_hpc, 6)
+            .fixed("fpr_energy", self.fpr_energy, 6)
+            .fixed("mean_tpr_hpc", self.mean_tpr_hpc(), 6)
+            .fixed("mean_tpr_energy", self.mean_tpr_energy(), 6)
+            .field("detected_hpc", self.detected_hpc())
+            .field("detected_energy", self.detected_energy())
+            .field(
+                "energy_improves",
+                self.mean_tpr_energy() > self.mean_tpr_hpc(),
+            )
+            .field("pass", self.check().is_ok())
+            .field("categories", categories)
+            .field("carrier", carrier)
+            .render()
     }
 }
 
@@ -741,6 +740,47 @@ pub fn run_zeroday(cfg: &ZerodayConfig) -> ZerodayReport {
     }
 }
 
+/// The `zeroday` binary's command line: the configuration and the artifact
+/// path. `--smoke` selects [`ZerodayConfig::smoke`], and explicit flags
+/// override it.
+///
+/// # Errors
+/// The first bad, missing or unknown argument, with the usage line.
+pub fn cli(argv: Vec<String>) -> Result<(ZerodayConfig, String), String> {
+    let mut args = Args::new(
+        "zeroday [--seed N] [--instrs N] [--runs N] [--fpr F] [--topk K] [--bar F] \
+         [--carrier-bar F] [--threads N] [--smoke] [--out PATH]",
+        argv,
+    );
+    let mut cfg = ZerodayConfig::default();
+    if args.smoke {
+        cfg = ZerodayConfig::smoke(cfg.seed);
+    }
+    let mut out = "BENCH_zeroday.json".to_string();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--seed" => cfg.seed = args.seed()?,
+            "--instrs" => {
+                let at_least_1000 = |s: &str| s.parse().ok().filter(|n| *n >= 1000);
+                cfg.max_instrs = args.value("an integer >= 1000", at_least_1000)?;
+            }
+            "--runs" => {
+                cfg.benign_runs = args.positive()?;
+                cfg.attack_runs = cfg.benign_runs;
+            }
+            "--fpr" => cfg.fpr = args.fraction(0.5)?,
+            "--topk" => cfg.top_k = args.value("an integer (0 = all dims)", |s| s.parse().ok())?,
+            "--bar" => cfg.detect_bar = args.fraction(1.0)?,
+            "--carrier-bar" => cfg.carrier_bar = args.fraction(1.0)?,
+            "--threads" => cfg.parallelism = args.threads()?,
+            "--smoke" => {}
+            "--out" => out = args.path()?,
+            _ => return Err(args.unknown()),
+        }
+    }
+    Ok((cfg, out))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -829,14 +869,8 @@ mod tests {
             return;
         }
         let report = run_zeroday(&ZerodayConfig::default());
-        assert!(
-            report.passes(),
-            "zeroday acceptance failed: detected_energy={} fpr_energy={:.4} \
-             mean_tpr_hpc={:.4} mean_tpr_energy={:.4}",
-            report.detected_energy(),
-            report.fpr_energy,
-            report.mean_tpr_hpc(),
-            report.mean_tpr_energy(),
-        );
+        if let Err(e) = report.check() {
+            panic!("zeroday acceptance failed: {e}");
+        }
     }
 }

@@ -5,13 +5,15 @@
 //! clean-corpus detection rate. The full-size race is gated behind
 //! `EVAX_SLOW_TESTS=1` like the other heavyweight suites.
 
-use evax_bench::armsrace::{run_arms_race, ArmsRaceConfig};
+use evax_bench::armsrace::{self, run_arms_race, ArmsRaceConfig};
 
 #[test]
 fn armsrace_smoke_artifact_is_well_formed_and_reproducible() {
     let report = run_arms_race(&ArmsRaceConfig::smoke(42));
     let json = report.to_json();
     for key in [
+        "\"bench\"",
+        "\"profile\"",
         "\"strategies\"",
         "\"cores\"",
         "\"threads\"",
@@ -62,18 +64,9 @@ fn armsrace_smoke_artifact_is_well_formed_and_reproducible() {
 #[test]
 fn armsrace_smoke_clears_the_acceptance_bars() {
     let report = run_arms_race(&ArmsRaceConfig::smoke(42));
-    let drop = report.round1_baseline_drop();
-    assert!(
-        drop >= 0.20,
-        "round-1 evasive corpus only dropped baseline detection by {:.1}% (need ≥ 20%)",
-        drop * 100.0
-    );
-    let gap = report.final_best_hardened_gap();
-    assert!(
-        gap <= 0.05,
-        "best hardened variant ended {:.1}% below clean-corpus detection (need ≤ 5%)",
-        gap * 100.0
-    );
+    if let Err(e) = report.check() {
+        panic!("smoke race missed an acceptance bar: {e}");
+    }
     // Hardening must not melt the clean-corpus false-positive budget.
     for (name, fp) in report.clean_fp.named() {
         assert!(
@@ -85,6 +78,31 @@ fn armsrace_smoke_clears_the_acceptance_bars() {
 }
 
 #[test]
+fn smoke_preset_composes_with_explicit_flags_in_either_order() {
+    let parse = |args: &str| {
+        let args = args.split_whitespace().map(String::from).collect();
+        let (c, _) = armsrace::cli(args).expect("valid command line");
+        (
+            c.seed,
+            c.rounds,
+            c.programs_per_strategy,
+            c.members,
+            c.smoke,
+        )
+    };
+    assert_eq!(parse(""), (42, 4, 4, 3, false));
+    assert_eq!(parse("--smoke"), (42, 2, 2, 3, true));
+    assert_eq!(
+        parse("--rounds 5 --members 1 --smoke --seed 7"),
+        (7, 5, 2, 1, true)
+    );
+    assert_eq!(
+        parse("--seed 7 --smoke --members 1 --rounds 5"),
+        (7, 5, 2, 1, true)
+    );
+}
+
+#[test]
 fn armsrace_full_race_slow() {
     if std::env::var("EVAX_SLOW_TESTS").is_err() {
         eprintln!("skipping armsrace_full_race_slow; set EVAX_SLOW_TESTS=1");
@@ -93,14 +111,7 @@ fn armsrace_full_race_slow() {
     // The committed BENCH_armsrace.json shape: default config, seed 42.
     let report = run_arms_race(&ArmsRaceConfig::default());
     assert_eq!(report.rounds.len(), 4, "default race runs 4 rounds");
-    assert!(
-        report.round1_baseline_drop() >= 0.20,
-        "full race round-1 drop {:.3} under the 20% bar",
-        report.round1_baseline_drop()
-    );
-    assert!(
-        report.final_best_hardened_gap() <= 0.05,
-        "full race hardened gap {:.3} over the 5% bar",
-        report.final_best_hardened_gap()
-    );
+    if let Err(e) = report.check() {
+        panic!("full race missed an acceptance bar: {e}");
+    }
 }

@@ -4,7 +4,7 @@
 //! provable bound, and (on machines with the cores to show it) the batched
 //! drain clears the 5× throughput bar over per-window classification.
 
-use evax_bench::fleet_bench::{run_fleet_bench, FleetBenchConfig};
+use evax_bench::fleet_bench::{self, run_fleet_bench, FleetBenchConfig};
 use evax_core::collect::{collect_dataset, CollectConfig};
 use evax_core::prelude::{Detector, DetectorKind, Featurizer, Parallelism, TrainConfig};
 use evax_defense::adaptive::AdaptiveConfig;
@@ -114,15 +114,17 @@ fn quantized_verdicts_agree_with_f32_oracle_on_real_windows() {
 
 #[test]
 fn fleet_bench_smoke_produces_well_formed_artifact() {
-    let report = run_fleet_bench(&FleetBenchConfig {
-        n_streams: 32,
-        seed: 5,
-        parallelism: Parallelism::Fixed(2),
-        quantized: true,
-        smoke: true,
-    });
+    // Built through the binary's grammar: `--streams` survives `--smoke`.
+    let argv = "--streams 32 --smoke --seed 5 --threads 2".split(' ');
+    let (cfg, out) = fleet_bench::cli(argv.map(String::from).collect()).expect("valid");
+    assert_eq!((cfg.n_streams, cfg.seed, cfg.quantized), (32, 5, true));
+    assert_eq!((cfg.parallelism, cfg.smoke), (Parallelism::Fixed(2), true));
+    assert_eq!(out, "BENCH_fleet.json");
+    let report = run_fleet_bench(&cfg);
     let json = report.to_json();
     for key in [
+        "\"bench\"",
+        "\"profile\"",
         "\"per_window\"",
         "\"batched_f32\"",
         "\"batched_quant\"",

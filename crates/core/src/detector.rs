@@ -165,21 +165,9 @@ impl Detector {
         self.perceptron.score(&self.transform(base))
     }
 
-    /// [`Detector::score`] through a caller-owned scratch buffer: the
-    /// allocation-free per-window path. Bit-identical to `score`.
-    pub fn score_with_scratch(&self, base: &[f32], scratch: &mut Vec<f32>) -> f32 {
-        self.transform_into(base, scratch);
-        self.perceptron.score(scratch)
-    }
-
     /// Classifies a baseline feature vector (`true` = malicious).
     pub fn classify(&self, base: &[f32]) -> bool {
         self.score(base) >= self.threshold
-    }
-
-    /// [`Detector::classify`] through a caller-owned scratch buffer.
-    pub fn classify_with_scratch(&self, base: &[f32], scratch: &mut Vec<f32>) -> bool {
-        self.score_with_scratch(base, scratch) >= self.threshold
     }
 
     /// Batched scoring over a flat row-major batch of **extended** feature

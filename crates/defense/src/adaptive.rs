@@ -359,8 +359,8 @@ impl WindowSink for AdaptiveController<'_> {
         }
         self.normalizer.normalize_into(w.values, &mut self.features);
         // Score/verdict through the unified trait: the detector's own trait
-        // impl reproduces the historical `score_with_scratch` chain bit for
-        // bit, and a hardened model substituted via `with_model` brings its
+        // impl scores the extended row exactly as `Detector::score` does,
+        // and a hardened model substituted via `with_model` brings its
         // own exact decision rule (integer compare, jittered threshold,
         // majority vote) along through `decide`.
         self.detector

@@ -43,6 +43,7 @@ use std::time::Instant;
 use evax_core::par::{self, round_robin_shards, Parallelism};
 use evax_core::prelude::{Detector, Featurizer, WindowBatch};
 use evax_nn::detector::{Detector as ModelDetector, DetectorScratch};
+use evax_obs::json::{Object, Value};
 use evax_sim::{Cpu, CpuConfig, Program, RunResult, SampledCursor, SampledStep};
 use rand::SeedableRng;
 
@@ -246,31 +247,23 @@ impl FleetReport {
     /// value is an integer derived from simulated quantities, so in f32
     /// mode the string is byte-identical at any thread count.
     pub fn deterministic_json(&self) -> String {
-        let committed: u64 = self.outcomes.iter().map(|o| o.committed_instructions).sum();
-        let cycles: u64 = self.outcomes.iter().map(|o| o.cycles).sum();
-        let secure: u64 = self.outcomes.iter().map(|o| o.secure_instructions).sum();
-        format!(
-            concat!(
-                "{{\"inference\":\"{}\",\"streams\":{},\"windows\":{},\"flags\":{},",
-                "\"fail_secure_switches\":{},\"flagged_attack_streams\":{},",
-                "\"false_flag_streams\":{},\"secure_instructions\":{},",
-                "\"committed_instructions\":{},\"cycles\":{},\"full_flushes\":{},",
-                "\"tail_flushes\":{},\"verdict_digest\":\"{:016x}\"}}"
-            ),
-            self.inference.name(),
-            self.outcomes.len(),
-            self.windows(),
-            self.flags(),
-            self.fail_secure_switches(),
-            self.flagged_attack_streams(),
-            self.false_flag_streams(),
-            secure,
-            committed,
-            cycles,
-            self.full_flushes,
-            self.tail_flushes,
-            self.verdict_digest(),
-        )
+        let sum = |f: fn(&StreamOutcome) -> u64| self.outcomes.iter().map(f).sum::<u64>();
+        let digest = format!("{:016x}", self.verdict_digest());
+        let block = Object::new()
+            .field("inference", self.inference.name())
+            .field("streams", self.outcomes.len())
+            .field("windows", self.windows())
+            .field("flags", self.flags())
+            .field("fail_secure_switches", self.fail_secure_switches())
+            .field("flagged_attack_streams", self.flagged_attack_streams())
+            .field("false_flag_streams", self.false_flag_streams())
+            .field("secure_instructions", sum(|o| o.secure_instructions))
+            .field("committed_instructions", sum(|o| o.committed_instructions))
+            .field("cycles", sum(|o| o.cycles))
+            .field("full_flushes", self.full_flushes)
+            .field("tail_flushes", self.tail_flushes)
+            .field("verdict_digest", digest.as_str());
+        Value::from(block).to_string()
     }
 }
 

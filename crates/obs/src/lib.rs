@@ -56,10 +56,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+use json::{Object, Value};
 
 /// Number of histogram buckets: one for zero plus one per power of two up
 /// to `2^63`.
@@ -360,21 +364,14 @@ impl Registry {
     }
 
     fn render_json(&self, deterministic_only: bool) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        for (name, m) in self.snapshot() {
-            if deterministic_only && !m.kind.is_deterministic() {
-                continue;
-            }
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!("\"{}\": ", escape(&name)));
-            render_metric_body(&mut out, &m);
-        }
-        out.push('}');
-        out
+        let body = self
+            .snapshot()
+            .into_iter()
+            .filter(|(_, m)| !deterministic_only || m.kind.is_deterministic())
+            .fold(Object::new(), |o, (name, m)| {
+                o.field(&name, metric_json(Object::new(), &m))
+            });
+        Value::from(body).to_string()
     }
 
     /// JSONL snapshot: one self-describing line per metric (timers
@@ -382,69 +379,26 @@ impl Registry {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (name, m) in self.snapshot() {
-            out.push_str(&format!(
-                "{{\"name\": \"{}\", \"kind\": \"{}\", ",
-                escape(&name),
-                m.kind.name()
-            ));
-            match &m.data {
-                MetricData::Scalar(_) => out.push_str(&format!("\"value\": {}}}\n", m.value())),
-                MetricData::Hist(h) => {
-                    out.push_str(&format!(
-                        "\"count\": {}, \"sum\": {}, \"buckets\": [",
-                        h.count.load(Ordering::Relaxed),
-                        h.sum.load(Ordering::Relaxed)
-                    ));
-                    for (i, (lo, n)) in m.buckets().iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&format!("[{lo}, {n}]"));
-                    }
-                    out.push_str("]}\n");
-                }
-            }
+            let line = metric_json(Object::new().field("name", name.as_str()), &m);
+            out.push_str(&format!("{}\n", Value::from(line)));
         }
         out
     }
 }
 
-fn render_metric_body(out: &mut String, m: &Metric) {
+/// Appends `"kind"` and `"value"` (a scalar) or `"count"`, `"sum"` and
+/// `"buckets": [[lo, n], ...]` (a histogram) to `o`.
+fn metric_json(o: Object, m: &Metric) -> Object {
+    let o = o.field("kind", m.kind.name());
     match &m.data {
-        MetricData::Scalar(_) => out.push_str(&format!(
-            "{{\"kind\": \"{}\", \"value\": {}}}",
-            m.kind.name(),
-            m.value()
-        )),
+        MetricData::Scalar(_) => o.field("value", m.value()),
         MetricData::Hist(h) => {
-            out.push_str(&format!(
-                "{{\"kind\": \"{}\", \"count\": {}, \"sum\": {}, \"buckets\": [",
-                m.kind.name(),
-                h.count.load(Ordering::Relaxed),
-                h.sum.load(Ordering::Relaxed)
-            ));
-            for (i, (lo, n)) in m.buckets().iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("[{lo}, {n}]"));
-            }
-            out.push_str("]}");
+            let buckets = m.buckets().into_iter().map(|(lo, n)| Value::from([lo, n]));
+            o.field("count", h.count.load(Ordering::Relaxed))
+                .field("sum", h.sum.load(Ordering::Relaxed))
+                .field("buckets", buckets.collect::<Value>())
         }
     }
-}
-
-/// Minimal JSON string escaping (metric names are plain identifiers; this
-/// keeps the export well-formed even if one is not).
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// A counter handle: monotone `u64` sum. Detached (no-op) when obtained
