@@ -4,9 +4,9 @@
 use evax_attacks::benign::Scale;
 use evax_attacks::{build_benign, BenignKind};
 use evax_core::metrics::Confusion;
-use evax_core::prelude::{CollectConfig, EvaxConfig, EvaxPipeline};
+use evax_core::prelude::{CollectConfig, EvaxConfig, EvaxPipeline, Featurizer, MetricsSink};
 use evax_defense::adaptive::{run_adaptive, run_fixed, AdaptiveConfig, Policy};
-use evax_defense::overhead::{measure_workload_with, summarize, OverheadRow};
+use evax_defense::overhead::{measure_workload, summarize, OverheadRow};
 use evax_sim::{CpuConfig, MitigationMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,29 +71,35 @@ pub fn fig14(h: &Harness) -> String {
         secure_window: interval * 20,
         policy,
     };
+    let evax_feat = p.featurizer();
+    let persp_feat = Featurizer::baseline(p.normalizer.clone());
+    let no_metrics = MetricsSink::default();
     let evax_spectre = run_adaptive(
         &cpu_cfg,
         &workload,
+        &evax_feat,
         &p.evax,
-        &p.normalizer,
         &a_cfg(Policy::FenceSpectre),
         max_instrs,
+        &no_metrics,
     );
     let evax_futuristic = run_adaptive(
         &cpu_cfg,
         &workload,
+        &evax_feat,
         &p.evax,
-        &p.normalizer,
         &a_cfg(Policy::FenceFuturistic),
         max_instrs,
+        &no_metrics,
     );
     let perspectron = run_adaptive(
         &cpu_cfg,
         &workload,
+        &persp_feat,
         &p.perspectron,
-        &p.normalizer,
         &a_cfg(Policy::FenceSpectre),
         max_instrs,
+        &no_metrics,
     );
 
     let series: Vec<(&str, Vec<f64>)> = vec![
@@ -212,6 +218,8 @@ pub fn fig16(h: &Harness) -> String {
         ("Fence-Futuristic", 2.09, 0.10),
         ("InvisiSpec-Futuristic", 0.75, 0.04),
     ];
+    let evax_feat = p.featurizer();
+    let persp_feat = Featurizer::baseline(p.normalizer.clone());
     let mut reproduced = 0;
     for &policy in &[
         Policy::FenceSpectre,
@@ -228,9 +236,9 @@ pub fn fig16(h: &Harness) -> String {
         let evax_rows: Vec<OverheadRow> = kinds
             .iter()
             .map(|&k| {
-                measure_workload_with(
+                measure_workload(
+                    &evax_feat,
                     &p.evax,
-                    &p.normalizer,
                     p.sample_interval,
                     k,
                     policy,
@@ -243,9 +251,9 @@ pub fn fig16(h: &Harness) -> String {
         let persp_rows: Vec<OverheadRow> = kinds
             .iter()
             .map(|&k| {
-                measure_workload_with(
+                measure_workload(
+                    &persp_feat,
                     &p.perspectron,
-                    &p.normalizer,
                     p.sample_interval,
                     k,
                     policy,

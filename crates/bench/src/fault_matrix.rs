@@ -39,7 +39,7 @@ use evax_core::featurize::CollectingSink;
 use evax_core::prelude::{
     read_csv, read_featurizer, read_model, retry, write_csv, write_featurizer, write_model,
     CollectConfig, Detector, DetectorKind, FaultInjector, FaultKind, FaultingSink, Featurizer,
-    Normalizer, Parallelism, ProgramSource, RetryPolicy, SliceSource, StreamStats, WindowSource,
+    Parallelism, ProgramSource, RetryPolicy, SliceSource, StreamStats, WindowSource,
 };
 use evax_defense::adaptive::{AdaptiveConfig, AdaptiveController, Policy};
 use evax_sim::CpuConfig;
@@ -214,7 +214,7 @@ struct MatrixContext {
     featurizer_bytes: Vec<u8>,
     csv_bytes: Vec<u8>,
     detector: Detector,
-    normalizer: Normalizer,
+    featurizer: Featurizer,
     attack_windows: Vec<Vec<f64>>,
 }
 
@@ -237,7 +237,7 @@ impl MatrixContext {
             &TrainConfig::default(),
             &mut rng,
         );
-        let featurizer = Featurizer::new(normalizer.clone(), Vec::new());
+        let featurizer = Featurizer::new(normalizer, Vec::new());
 
         let mut model_bytes = Vec::new();
         write_model(&detector, &featurizer, 1, &mut model_bytes)
@@ -273,7 +273,7 @@ impl MatrixContext {
             featurizer_bytes,
             csv_bytes,
             detector,
-            normalizer,
+            featurizer,
             attack_windows,
         }
     }
@@ -369,7 +369,7 @@ fn storage_trial(ctx: &MatrixContext, sub: Subsystem, kind: FaultKind, seed: u64
 /// windows are rejected (counted, not folded into the maxima), and the
 /// fitted normalizer stays finite.
 fn featurize_trial(ctx: &MatrixContext, kind: FaultKind, seed: u64) -> Outcome {
-    let dim = ctx.normalizer.dim();
+    let dim = ctx.featurizer.base_dim();
     if kind == FaultKind::ZeroLen {
         let empty: Vec<Vec<f64>> = Vec::new();
         let mut stats = StreamStats::new(dim);
@@ -419,7 +419,7 @@ fn controller_trial(ctx: &MatrixContext, kind: FaultKind, seed: u64) -> Outcome 
     };
     if kind == FaultKind::ZeroLen {
         let empty: Vec<Vec<f64>> = Vec::new();
-        let mut ctl = AdaptiveController::new(&ctx.detector, &ctx.normalizer, &cfg);
+        let mut ctl = AdaptiveController::new(&ctx.featurizer, &ctx.detector, &cfg);
         let result = SliceSource::new(&empty, SAMPLE_INTERVAL).stream(&mut ctl);
         let run = ctl.finish(result);
         let sane = run.flags == 0 && run.fail_secure_switches == 0 && run.ipc_series.is_empty();
@@ -432,11 +432,11 @@ fn controller_trial(ctx: &MatrixContext, kind: FaultKind, seed: u64) -> Outcome 
     let inj = FaultInjector::new(kind, seed).with_intensity(2);
     let run = if kind.is_inference() {
         let mut ctl =
-            AdaptiveController::new(&ctx.detector, &ctx.normalizer, &cfg).with_faults(inj.clone());
+            AdaptiveController::new(&ctx.featurizer, &ctx.detector, &cfg).with_faults(inj.clone());
         let result = SliceSource::new(&ctx.attack_windows, SAMPLE_INTERVAL).stream(&mut ctl);
         ctl.finish(result)
     } else {
-        let mut ctl = AdaptiveController::new(&ctx.detector, &ctx.normalizer, &cfg);
+        let mut ctl = AdaptiveController::new(&ctx.featurizer, &ctx.detector, &cfg);
         let result = {
             let mut sink = FaultingSink::new(&mut ctl, inj.clone());
             SliceSource::new(&ctx.attack_windows, SAMPLE_INTERVAL).stream(&mut sink)

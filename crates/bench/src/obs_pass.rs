@@ -16,11 +16,9 @@ use evax_attacks::{build_attack, build_benign, AttackClass, BenignKind, KernelPa
 use evax_core::collect::collect_dataset_stats_with;
 use evax_core::detector::TrainConfig;
 use evax_core::prelude::{
-    CollectConfig, Detector, DetectorKind, MetricsSink, Parallelism, Registry,
+    CollectConfig, Detector, DetectorKind, Featurizer, MetricsSink, Parallelism, Registry,
 };
-use evax_defense::adaptive::{
-    run_adaptive_with_metrics, run_fixed_with_metrics, AdaptiveConfig, Policy,
-};
+use evax_defense::adaptive::{run_adaptive, run_fixed, AdaptiveConfig, Policy};
 use evax_sim::{CpuConfig, MitigationMode, Program};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,7 +105,7 @@ pub fn obs_pass(seed: u64, parallelism: Parallelism, programs: &[ObsProgram]) ->
         ..Default::default()
     };
     let (dataset, stats) = collect_dataset_stats_with(&collect_cfg, seed, &metrics);
-    let normalizer = stats.normalizer();
+    let featurizer = Featurizer::baseline(stats.normalizer());
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0b5_9a55);
     let detector = Detector::train(
         DetectorKind::Evax,
@@ -128,35 +126,32 @@ pub fn obs_pass(seed: u64, parallelism: Parallelism, programs: &[ObsProgram]) ->
     for (i, prog) in programs.iter().enumerate() {
         let label = prog.label();
         let program = prog.build(seed ^ ((i as u64 + 1) << 32));
-        run_fixed_with_metrics(
+        run_fixed(
             &cpu_cfg,
             &program,
             MitigationMode::None,
             SAMPLE_INTERVAL,
             RUN_INSTRS,
-            &metrics,
-            &format!("{label}.baseline"),
-        );
-        run_fixed_with_metrics(
+        )
+        .record_fixed(&metrics, &format!("{label}.baseline"));
+        run_fixed(
             &cpu_cfg,
             &program,
             adaptive_cfg.policy.mode(),
             SAMPLE_INTERVAL,
             RUN_INSTRS,
-            &metrics,
-            &format!("{label}.always_on"),
-        );
-        run_adaptive_with_metrics(
+        )
+        .record_fixed(&metrics, &format!("{label}.always_on"));
+        run_adaptive(
             &cpu_cfg,
             &program,
+            &featurizer,
             &detector,
-            &normalizer,
             &adaptive_cfg,
             RUN_INSTRS,
             &metrics,
-            &label,
-            prog.is_attack(),
-        );
+        )
+        .record_adaptive(&metrics, &label, prog.is_attack());
     }
     metrics.add("obs.programs", programs.len() as u64);
     registry

@@ -44,13 +44,13 @@
 //! memory is the *output* dataset plus O(dim) per worker, independent of
 //! how many raw windows the corpus contains.
 
+use evax_nn::detector::{Detector as ModelDetector, DetectorScratch};
 use evax_obs::MetricsSink;
 use evax_sim::{
     Cpu, CpuConfig, FeatureSchema, MitigationMode, Modality, Program, RunResult, SampleSchedule,
 };
 
 use crate::dataset::{Dataset, Normalizer, Sample};
-use crate::detector::Detector;
 use crate::feature_engineering::EngineeredFeature;
 
 /// One raw HPC sampling window, borrowed from the driving source.
@@ -582,16 +582,6 @@ impl Featurizer {
         self.normalizer.dim() + self.engineered.len()
     }
 
-    /// Normalizes a raw window into the baseline feature space (what
-    /// [`Detector::classify`] consumes; the detector applies its own
-    /// engineered extension internally).
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch (either slice).
-    pub fn normalize_into(&self, raw: &[f64], out: &mut [f32]) {
-        self.normalizer.normalize_into(raw, out);
-    }
-
     /// Full window→feature transform: normalized baseline prefix plus the
     /// engineered fuzzy-AND projections (133 → 145 in the paper's
     /// configuration). `out` must have [`feature_dim`](Self::feature_dim)
@@ -742,26 +732,36 @@ impl WindowSink for DatasetSink<'_> {
     }
 }
 
-/// Deployment sink: featurizes every window and records the detector's
+/// Deployment sink: featurizes every window and records the model's
 /// verdicts (no mitigation feedback — the adaptive controller in
 /// `evax-defense` adds the secure-mode state machine on top of the same
-/// stage chain).
+/// serving pair).
 #[derive(Debug)]
 pub struct VerdictSink<'a> {
     featurizer: &'a Featurizer,
-    detector: &'a Detector,
-    features: Vec<f32>,
+    model: &'a dyn ModelDetector,
+    row: Vec<f32>,
+    scratch: DetectorScratch,
     verdicts: Vec<bool>,
 }
 
 impl<'a> VerdictSink<'a> {
-    /// Creates a sink classifying windows with `detector` under
-    /// `featurizer`'s transform.
-    pub fn new(featurizer: &'a Featurizer, detector: &'a Detector) -> Self {
+    /// Creates a sink classifying `featurizer`'s rows with `model`.
+    ///
+    /// # Panics
+    /// Panics if `model` consumes a different feature dimension than the
+    /// featurizer produces.
+    pub fn new(featurizer: &'a Featurizer, model: &'a dyn ModelDetector) -> Self {
+        assert_eq!(
+            model.n_features(),
+            featurizer.feature_dim(),
+            "model and featurizer disagree on the feature dimension"
+        );
         VerdictSink {
-            features: vec![0.0f32; featurizer.base_dim()],
+            row: vec![0.0f32; featurizer.feature_dim()],
             featurizer,
-            detector,
+            model,
+            scratch: DetectorScratch::new(),
             verdicts: Vec::new(),
         }
     }
@@ -779,8 +779,9 @@ impl<'a> VerdictSink<'a> {
 
 impl WindowSink for VerdictSink<'_> {
     fn window(&mut self, w: &RawWindow<'_>) -> Option<MitigationMode> {
-        self.featurizer.normalize_into(w.values, &mut self.features);
-        self.verdicts.push(self.detector.classify(&self.features));
+        self.featurizer.featurize_into(w.values, &mut self.row);
+        self.verdicts
+            .push(self.model.classify(&self.row, &mut self.scratch));
         None
     }
 }

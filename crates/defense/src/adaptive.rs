@@ -10,7 +10,7 @@
 //! there is no deployment-side copy of the featurization to drift.
 
 use evax_core::prelude::{
-    Detector, DetectorScratch, FaultInjector, ModelDetector, Normalizer, ProgramSource, RawWindow,
+    DetectorScratch, FaultInjector, Featurizer, ModelDetector, ProgramSource, RawWindow,
     WindowSink, WindowSource,
 };
 use evax_obs::MetricsSink;
@@ -209,6 +209,26 @@ impl SecureModeState {
         }
         None
     }
+
+    /// The score gate every serving loop applies to one scored window: a
+    /// non-finite score (faulted model, injected inference fault) compares
+    /// false against any threshold — naive `score >= threshold` would fail
+    /// *open* — so it takes [`fail_secure`](Self::fail_secure); a finite
+    /// score applies `malicious` through
+    /// [`apply_verdict`](Self::apply_verdict).
+    pub fn apply_scored(
+        &mut self,
+        score: f32,
+        malicious: bool,
+        cycle: u64,
+        cfg: &AdaptiveConfig,
+    ) -> Option<MitigationMode> {
+        if score.is_finite() {
+            self.apply_verdict(malicious, cycle, cfg)
+        } else {
+            self.fail_secure(cfg)
+        }
+    }
 }
 
 /// Outcome of an adaptive (or fixed-mode) run.
@@ -244,25 +264,78 @@ impl AdaptiveRun {
             .checked_div(self.result.committed_instructions)
             .unwrap_or(0)
     }
+
+    /// Exports a [`run_adaptive`] run under `adaptive.<label>.*`: flag and
+    /// window tallies, secure-window duty cycle in ppm of committed
+    /// instructions (`secure_duty_ppm`), and — for an attack — the
+    /// detection latency in cycles (`detection_latency_cycles`, attacks
+    /// start at cycle 0 on the fresh core) or a `missed_detections` tally;
+    /// for benign work, the false-flag tally (`false_flags`) behind the
+    /// paper's false-switch overhead argument. Every value is an integer
+    /// derived from simulated quantities, so the export is bit-identical
+    /// across runs and thread counts.
+    pub fn record_adaptive(&self, metrics: &MetricsSink, label: &str, is_attack: bool) {
+        if !metrics.enabled() {
+            return;
+        }
+        let p = |m: &str| format!("adaptive.{label}.{m}");
+        metrics.add(&p("runs"), 1);
+        metrics.add(&p("windows"), self.ipc_series.len() as u64);
+        metrics.add(&p("flags"), self.flags);
+        metrics.add(&p("fail_secure_switches"), self.fail_secure_switches);
+        metrics.add(&p("secure_instructions"), self.secure_instructions);
+        metrics.add(
+            &p("committed_instructions"),
+            self.result.committed_instructions,
+        );
+        metrics.add(&p("cycles"), self.result.cycles);
+        metrics.observe(&p("secure_duty_ppm"), self.secure_duty_ppm());
+        if is_attack {
+            match self.first_flag_cycle {
+                Some(cycle) => metrics.observe(&p("detection_latency_cycles"), cycle),
+                None => metrics.add(&p("missed_detections"), 1),
+            }
+        } else {
+            metrics.add(&p("false_flags"), self.flags);
+        }
+    }
+
+    /// Exports a [`run_fixed`] run under `fixed.<label>.*`: the
+    /// baseline/always-on cycle and instruction tallies (the denominators
+    /// of the Fig. 16 overhead table).
+    pub fn record_fixed(&self, metrics: &MetricsSink, label: &str) {
+        if !metrics.enabled() {
+            return;
+        }
+        let p = |m: &str| format!("fixed.{label}.{m}");
+        metrics.add(&p("runs"), 1);
+        metrics.add(&p("cycles"), self.result.cycles);
+        metrics.add(
+            &p("committed_instructions"),
+            self.result.committed_instructions,
+        );
+        metrics.add(&p("secure_instructions"), self.secure_instructions);
+    }
 }
 
 /// The adaptive controller as a [`WindowSink`]: performance mode until the
 /// detector flags, then `secure_window` instructions of the policy's
 /// mitigation. Compose it with any [`WindowSource`]; [`run_adaptive`] wires
 /// it to the canonical per-program source.
+///
+/// It serves through the same pair as the fleet: windows are featurized by
+/// [`Featurizer::featurize_into`] into one reused row and scored by any
+/// [`ModelDetector`] — the trained [`evax_core::detector::Detector`], its
+/// quantized or stochastic hardenings, or an [`evax_nn::Ensemble`] — whose
+/// [`decide`](ModelDetector::decide) carries the model's exact decision
+/// rule.
 #[derive(Debug)]
 pub struct AdaptiveController<'a> {
-    detector: &'a Detector,
-    /// Optional hardened deployment model (stochastic, ensemble, quantized —
-    /// any [`ModelDetector`]) substituted for the detector's own linear
-    /// model. The feature transform stays the detector's.
-    model: Option<&'a dyn ModelDetector>,
-    normalizer: &'a Normalizer,
+    featurizer: &'a Featurizer,
+    model: &'a dyn ModelDetector,
     cfg: &'a AdaptiveConfig,
-    /// One features buffer reused across every sampling window.
-    features: Vec<f32>,
-    /// Extended-feature scratch for the allocation-free scoring path.
-    extended: Vec<f32>,
+    /// One feature row reused across every sampling window.
+    row: Vec<f32>,
     /// Trait-level inference scratch (quantized/network model buffers).
     nn_scratch: DetectorScratch,
     state: SecureModeState,
@@ -271,46 +344,31 @@ pub struct AdaptiveController<'a> {
 }
 
 impl<'a> AdaptiveController<'a> {
-    /// Creates a controller. The detector consumes *normalized* features,
-    /// so the collection-time [`Normalizer`] must be supplied (persist it
-    /// with the model — see `evax_core::io::write_featurizer`).
+    /// Creates a controller scoring `featurizer`'s rows with `model`.
+    ///
+    /// # Panics
+    /// Panics if `model` consumes a different feature dimension than the
+    /// featurizer produces.
     pub fn new(
-        detector: &'a Detector,
-        normalizer: &'a Normalizer,
+        featurizer: &'a Featurizer,
+        model: &'a dyn ModelDetector,
         cfg: &'a AdaptiveConfig,
     ) -> Self {
+        assert_eq!(
+            model.n_features(),
+            featurizer.feature_dim(),
+            "model and featurizer disagree on the feature dimension"
+        );
         AdaptiveController {
-            detector,
-            model: None,
-            normalizer,
+            featurizer,
+            model,
             cfg,
-            features: vec![0.0f32; normalizer.dim()],
-            extended: Vec::with_capacity(detector.extended_dim()),
+            row: vec![0.0f32; featurizer.feature_dim()],
             nn_scratch: DetectorScratch::new(),
             state: SecureModeState::default(),
             ipc_series: Vec::new(),
             faults: FaultInjector::disabled(),
         }
-    }
-
-    /// Substitutes a hardened deployment model for the detector's own
-    /// linear model. Windows are still featurized through the detector's
-    /// engineered transform; only the scoring/verdict step dispatches to
-    /// `model` (its [`ModelDetector::decide`] — so integer-domain, jittered
-    /// and majority-vote decision rules all stay exact). Without this call
-    /// the controller's verdicts are bit-identical to the pre-trait path.
-    ///
-    /// # Panics
-    /// Panics if `model` consumes a different feature dimension than the
-    /// detector's extended space.
-    pub fn with_model(mut self, model: &'a dyn ModelDetector) -> Self {
-        assert_eq!(
-            model.n_features(),
-            self.detector.extended_dim(),
-            "hardened model and detector disagree on the extended feature dimension"
-        );
-        self.model = Some(model);
-        self
     }
 
     /// Routes the detector's raw score through a fault injector (chaos
@@ -357,25 +415,10 @@ impl WindowSink for AdaptiveController<'_> {
         if w.values.iter().any(|v| !v.is_finite()) {
             return self.state.fail_secure(self.cfg);
         }
-        self.normalizer.normalize_into(w.values, &mut self.features);
-        // Score/verdict through the unified trait: the detector's own trait
-        // impl scores the extended row exactly as `Detector::score` does,
-        // and a hardened model substituted via `with_model` brings its
-        // own exact decision rule (integer compare, jittered threshold,
-        // majority vote) along through `decide`.
-        self.detector
-            .transform_into(&self.features, &mut self.extended);
-        let model = self.model.unwrap_or(self.detector as &dyn ModelDetector);
-        let (raw, malicious) = model.decide(&self.extended, &mut self.nn_scratch);
-        // Fail-secure gate #2: a non-finite detector score (faulted model,
-        // injected inference fault) compares false against any threshold —
-        // naive `score >= threshold` would fail *open*. Route non-finite
-        // scores to secure mode instead.
+        self.featurizer.featurize_into(w.values, &mut self.row);
+        let (raw, malicious) = self.model.decide(&self.row, &mut self.nn_scratch);
         let score = self.faults.corrupt_score(raw);
-        if !score.is_finite() {
-            return self.state.fail_secure(self.cfg);
-        }
-        self.state.apply_verdict(malicious, w.cycle, self.cfg)
+        self.state.apply_scored(score, malicious, w.cycle, self.cfg)
     }
 }
 
@@ -392,66 +435,35 @@ impl WindowSink for IpcTrace {
     }
 }
 
-/// Negotiates the controller's window width against the core's sensor
-/// configuration before any window is sampled: a normalizer fitted on one
-/// schema refuses a core producing another width up front, with
-/// [`evax_core::error::EvaxError::Config`] context, instead of a bare
-/// slice-length panic mid-run.
+/// Runs `program` under the adaptive architecture: performance mode until
+/// `model` flags a window featurized by `featurizer`, then `secure_window`
+/// instructions of the policy's mitigation.
+///
+/// `metrics` reaches the underlying [`ProgramSource`], which records
+/// `featurize.*`/`sim.*` tallies; pass `&MetricsSink::default()` for none.
+/// Recording never feeds back into the run, so the returned
+/// [`AdaptiveRun`] is the same with any sink. Per-run verdict exports are
+/// [`AdaptiveRun::record_adaptive`].
 ///
 /// # Panics
-/// Panics (with the typed error's message) on a width disagreement.
-fn check_window_width(cpu_cfg: &CpuConfig, normalizer: &Normalizer) {
-    let produced = evax_sim::dim_for(cpu_cfg);
-    if normalizer.dim() != produced {
-        let err = evax_core::error::EvaxError::config(
-            "adaptive",
-            format!(
-                "configuration produces {produced}-wide windows but the \
-                 normalizer was fitted on {}-wide windows",
-                normalizer.dim()
-            ),
-        );
-        panic!("{err}");
-    }
-}
-
-/// Runs `program` under the adaptive architecture: performance mode until
-/// the detector flags, then `secure_window` instructions of the policy's
-/// mitigation.
-///
-/// The detector consumes *normalized* features, so the collection-time
-/// [`Normalizer`] must be supplied.
+/// Panics if the featurizer refuses windows from `cpu_cfg`
+/// ([`Featurizer::check_config`]: width or schema fingerprint mismatch), or
+/// if `model` and `featurizer` disagree on the feature dimension.
 pub fn run_adaptive(
     cpu_cfg: &CpuConfig,
     program: &Program,
-    detector: &Detector,
-    normalizer: &Normalizer,
-    cfg: &AdaptiveConfig,
-    max_instrs: u64,
-) -> AdaptiveRun {
-    check_window_width(cpu_cfg, normalizer);
-    let mut controller = AdaptiveController::new(detector, normalizer, cfg);
-    let result = ProgramSource::new(program, cpu_cfg, cfg.sample_interval, max_instrs)
-        .stream(&mut controller);
-    controller.finish(result)
-}
-
-/// [`run_adaptive`] with a hardened deployment model substituted for the
-/// detector's own linear model (see [`AdaptiveController::with_model`]):
-/// the arms-race deployment path for [`evax_nn::StochasticDetector`] /
-/// [`evax_nn::Ensemble`] / [`evax_nn::QuantLinear`] variants.
-pub fn run_adaptive_with_model(
-    cpu_cfg: &CpuConfig,
-    program: &Program,
-    detector: &Detector,
+    featurizer: &Featurizer,
     model: &dyn ModelDetector,
-    normalizer: &Normalizer,
     cfg: &AdaptiveConfig,
     max_instrs: u64,
+    metrics: &MetricsSink,
 ) -> AdaptiveRun {
-    check_window_width(cpu_cfg, normalizer);
-    let mut controller = AdaptiveController::new(detector, normalizer, cfg).with_model(model);
+    if let Err(e) = featurizer.check_config(cpu_cfg) {
+        panic!("adaptive schema negotiation failed: {e}");
+    }
+    let mut controller = AdaptiveController::new(featurizer, model, cfg);
     let result = ProgramSource::new(program, cpu_cfg, cfg.sample_interval, max_instrs)
+        .with_metrics(metrics.clone())
         .stream(&mut controller);
     controller.finish(result)
 }
@@ -484,92 +496,12 @@ pub fn run_fixed(
     }
 }
 
-/// [`run_adaptive`] with observability: the underlying [`ProgramSource`]
-/// records `featurize.*`/`sim.*` metrics, and the controller's verdicts are
-/// exported under `adaptive.<label>.*` — per-run detection latency in
-/// cycles (`detection_latency_cycles`, attacks start at cycle 0 on the
-/// fresh core), secure-window duty cycle in ppm of committed instructions
-/// (`secure_duty_ppm`), flag/window tallies, and — when `is_attack` is
-/// `false` — the false-flag tally (`false_flags`) behind the paper's
-/// false-switch overhead argument. All exported values are integers derived
-/// from simulated quantities, so they are bit-identical across runs and
-/// thread counts. Recording never feeds back into the run: the returned
-/// [`AdaptiveRun`] equals [`run_adaptive`]'s.
-#[allow(clippy::too_many_arguments)]
-pub fn run_adaptive_with_metrics(
-    cpu_cfg: &CpuConfig,
-    program: &Program,
-    detector: &Detector,
-    normalizer: &Normalizer,
-    cfg: &AdaptiveConfig,
-    max_instrs: u64,
-    metrics: &MetricsSink,
-    label: &str,
-    is_attack: bool,
-) -> AdaptiveRun {
-    check_window_width(cpu_cfg, normalizer);
-    let mut controller = AdaptiveController::new(detector, normalizer, cfg);
-    let result = ProgramSource::new(program, cpu_cfg, cfg.sample_interval, max_instrs)
-        .with_metrics(metrics.clone())
-        .stream(&mut controller);
-    let run = controller.finish(result);
-    if metrics.enabled() {
-        let p = |m: &str| format!("adaptive.{label}.{m}");
-        metrics.add(&p("runs"), 1);
-        metrics.add(&p("windows"), run.ipc_series.len() as u64);
-        metrics.add(&p("flags"), run.flags);
-        metrics.add(&p("fail_secure_switches"), run.fail_secure_switches);
-        metrics.add(&p("secure_instructions"), run.secure_instructions);
-        metrics.add(
-            &p("committed_instructions"),
-            run.result.committed_instructions,
-        );
-        metrics.add(&p("cycles"), run.result.cycles);
-        metrics.observe(&p("secure_duty_ppm"), run.secure_duty_ppm());
-        if is_attack {
-            match run.first_flag_cycle {
-                Some(cycle) => metrics.observe(&p("detection_latency_cycles"), cycle),
-                None => metrics.add(&p("missed_detections"), 1),
-            }
-        } else {
-            metrics.add(&p("false_flags"), run.flags);
-        }
-    }
-    run
-}
-
-/// [`run_fixed`] with observability: records the baseline/always-on
-/// cycle and instruction tallies under `fixed.<label>.*` (the denominators
-/// of the Fig. 16 overhead table `obs_report` renders).
-pub fn run_fixed_with_metrics(
-    cpu_cfg: &CpuConfig,
-    program: &Program,
-    mode: MitigationMode,
-    sample_interval: u64,
-    max_instrs: u64,
-    metrics: &MetricsSink,
-    label: &str,
-) -> AdaptiveRun {
-    let run = run_fixed(cpu_cfg, program, mode, sample_interval, max_instrs);
-    if metrics.enabled() {
-        let p = |m: &str| format!("fixed.{label}.{m}");
-        metrics.add(&p("runs"), 1);
-        metrics.add(&p("cycles"), run.result.cycles);
-        metrics.add(
-            &p("committed_instructions"),
-            run.result.committed_instructions,
-        );
-        metrics.add(&p("secure_instructions"), run.secure_instructions);
-    }
-    run
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use evax_attacks::benign::Scale;
     use evax_core::collect::{collect_dataset, CollectConfig};
-    use evax_core::detector::{DetectorKind, TrainConfig};
+    use evax_core::detector::{Detector, DetectorKind, TrainConfig};
     use rand::SeedableRng;
 
     fn small_collect() -> CollectConfig {
@@ -583,7 +515,7 @@ mod tests {
         }
     }
 
-    fn trained_detector(seed: u64) -> (Detector, Normalizer) {
+    fn trained_detector(seed: u64) -> (Detector, Featurizer) {
         let (ds, norm) = collect_dataset(&small_collect(), seed);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut det = Detector::train(
@@ -594,7 +526,53 @@ mod tests {
             &mut rng,
         );
         det.tune_for_tpr(&ds, 0.99);
-        (det, norm)
+        (det, Featurizer::baseline(norm))
+    }
+
+    /// The controller settings most tests share.
+    fn cfg_200() -> AdaptiveConfig {
+        AdaptiveConfig {
+            sample_interval: 200,
+            secure_window: 2_000,
+            ..Default::default()
+        }
+    }
+
+    /// [`run_adaptive`] on the default core with the no-op sink.
+    fn adaptive_run(
+        feat: &Featurizer,
+        model: &dyn ModelDetector,
+        program: &Program,
+        cfg: &AdaptiveConfig,
+        max_instrs: u64,
+    ) -> AdaptiveRun {
+        run_adaptive(
+            &CpuConfig::default(),
+            program,
+            feat,
+            model,
+            cfg,
+            max_instrs,
+            &MetricsSink::default(),
+        )
+    }
+
+    /// One 200-instruction window ending at cycle 400.
+    fn window(values: &[f64]) -> RawWindow<'_> {
+        RawWindow {
+            values,
+            instructions: 200,
+            cycle: 400,
+        }
+    }
+
+    fn spectre_pht() -> Program {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        evax_attacks::build_attack(
+            evax_attacks::AttackClass::SpectrePht,
+            &evax_attacks::KernelParams::default(),
+            &mut rng,
+        )
     }
 
     #[test]
@@ -610,15 +588,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "wide windows")]
     fn adaptive_refuses_mismatched_window_width() {
-        let (det, norm) = trained_detector(3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let attack = evax_attacks::build_attack(
-            evax_attacks::AttackClass::SpectrePht,
-            &evax_attacks::KernelParams::default(),
-            &mut rng,
-        );
+        let (det, feat) = trained_detector(3);
+        let attack = spectre_pht();
         let cfg = AdaptiveConfig::default();
-        // Baseline-fitted normalizer against an energy-enabled core: the
+        // Baseline-fitted featurizer against an energy-enabled core: the
         // width negotiation fails up front with Config context.
         let cpu_cfg = CpuConfig {
             sensor: evax_sim::SensorConfig::builder()
@@ -627,91 +600,98 @@ mod tests {
                 .unwrap(),
             ..CpuConfig::default()
         };
-        run_adaptive(&cpu_cfg, &attack, &det, &norm, &cfg, 20_000);
+        run_adaptive(
+            &cpu_cfg,
+            &attack,
+            &feat,
+            &det,
+            &cfg,
+            20_000,
+            &MetricsSink::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "schema fingerprint mismatch")]
+    fn adaptive_refuses_foreign_schema_of_matching_width() {
+        use evax_core::prelude::{read_featurizer, write_featurizer};
+        let (det, feat) = trained_detector(3);
+        // A 133-wide artifact whose first column is named differently: the
+        // width matches the default core, the column layout does not.
+        let mut columns: Vec<(String, evax_sim::Modality)> = feat
+            .base_schema()
+            .columns()
+            .map(|(n, m)| (n.to_string(), m))
+            .collect();
+        columns[0].0 = "foreign.counter".into();
+        let foreign = Featurizer::with_schema(
+            evax_sim::FeatureSchema::from_columns(columns),
+            feat.normalizer().clone(),
+            Vec::new(),
+        )
+        .unwrap();
+        let mut bytes = Vec::new();
+        write_featurizer(&foreign, &mut bytes).unwrap();
+        let loaded = read_featurizer(bytes.as_slice()).unwrap();
+        assert_eq!(loaded.base_dim(), evax_sim::HPC_BASE_DIM);
+        adaptive_run(&loaded, &det, &spectre_pht(), &cfg_200(), 20_000);
     }
 
     #[test]
     fn adaptive_flags_attack_and_engages_secure_mode() {
-        let (det, norm) = trained_detector(3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let attack = evax_attacks::build_attack(
-            evax_attacks::AttackClass::SpectrePht,
-            &evax_attacks::KernelParams::default(),
-            &mut rng,
-        );
-        let cfg = AdaptiveConfig {
-            sample_interval: 200,
-            secure_window: 2_000,
-            ..Default::default()
-        };
-        let run = run_adaptive(&CpuConfig::default(), &attack, &det, &norm, &cfg, 20_000);
+        let (det, feat) = trained_detector(3);
+        let attack = spectre_pht();
+        let cfg = cfg_200();
+        let run = adaptive_run(&feat, &det, &attack, &cfg, 20_000);
         assert!(run.flags > 0, "detector must flag the attack");
         assert!(run.secure_instructions > 0);
     }
 
     #[test]
     fn trait_model_path_matches_plain_run_bitwise() {
-        let (det, norm) = trained_detector(3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let attack = evax_attacks::build_attack(
-            evax_attacks::AttackClass::SpectrePht,
-            &evax_attacks::KernelParams::default(),
-            &mut rng,
-        );
-        let cfg = AdaptiveConfig {
-            sample_interval: 200,
-            secure_window: 2_000,
-            ..Default::default()
-        };
-        let cpu = CpuConfig::default();
-        let plain = run_adaptive(&cpu, &attack, &det, &norm, &cfg, 20_000);
+        let (det, feat) = trained_detector(3);
+        let attack = spectre_pht();
+        let cfg = cfg_200();
+        let run = |model: &dyn ModelDetector| adaptive_run(&feat, model, &attack, &cfg, 20_000);
+        let plain = run(&det);
 
         // The detector's deployed linear model through explicit trait
         // dispatch must reproduce the plain run exactly.
         let linear = det.to_model();
-        let via_model = run_adaptive_with_model(&cpu, &attack, &det, &linear, &norm, &cfg, 20_000);
+        let via_model = run(&linear);
         assert_eq!(plain, via_model, "trait dispatch must be bitwise invisible");
 
         // Zero-jitter stochastic hardening is bitwise the base model too.
         let frozen = det.harden_stochastic(42, 0.0);
-        let via_frozen = run_adaptive_with_model(&cpu, &attack, &det, &frozen, &norm, &cfg, 20_000);
+        let via_frozen = run(&frozen);
         assert_eq!(plain, via_frozen, "jitter=0 must be the identity");
 
         // Hardened variants still catch the attack.
         let stochastic = det.harden_stochastic(42, 0.05);
-        let run_s = run_adaptive_with_model(&cpu, &attack, &det, &stochastic, &norm, &cfg, 20_000);
+        let run_s = run(&stochastic);
         assert!(run_s.flags > 0, "stochastic detector must flag the attack");
         let ensemble = evax_nn::Ensemble::new(vec![
             Box::new(det.to_model()),
             Box::new(det.harden_stochastic(7, 0.03)),
             Box::new(det.quantize_linear()),
         ]);
-        let run_e = run_adaptive_with_model(&cpu, &attack, &det, &ensemble, &norm, &cfg, 20_000);
+        let run_e = run(&ensemble);
         assert!(run_e.flags > 0, "ensemble must flag the attack");
     }
 
     #[test]
     fn metered_runs_match_unmetered_bit_for_bit() {
-        use evax_core::prelude::{MetricsSink, Registry};
-        let (det, norm) = trained_detector(3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let attack = evax_attacks::build_attack(
-            evax_attacks::AttackClass::SpectrePht,
-            &evax_attacks::KernelParams::default(),
-            &mut rng,
-        );
-        let cfg = AdaptiveConfig {
-            sample_interval: 200,
-            secure_window: 2_000,
-            ..Default::default()
-        };
+        use evax_core::prelude::Registry;
+        let (det, feat) = trained_detector(3);
+        let attack = spectre_pht();
+        let cfg = cfg_200();
         let cpu = CpuConfig::default();
         let registry = Registry::shared();
         let sink = MetricsSink::recording(&registry);
 
-        let plain = run_adaptive(&cpu, &attack, &det, &norm, &cfg, 20_000);
-        let metered =
-            run_adaptive_with_metrics(&cpu, &attack, &det, &norm, &cfg, 20_000, &sink, "atk", true);
+        let plain = adaptive_run(&feat, &det, &attack, &cfg, 20_000);
+        let metered = run_adaptive(&cpu, &attack, &feat, &det, &cfg, 20_000, &sink);
+        metered.record_adaptive(&sink, "atk", true);
         assert_eq!(plain, metered, "recording must not perturb the run");
         assert_eq!(registry.get("adaptive.atk.flags"), Some(plain.flags));
         assert_eq!(
@@ -725,26 +705,17 @@ mod tests {
             "latency histogram sum must equal the first flag cycle"
         );
 
-        let fixed_plain = run_fixed(&cpu, &attack, MitigationMode::FenceSpectre, 200, 20_000);
-        let fixed_metered = run_fixed_with_metrics(
-            &cpu,
-            &attack,
-            MitigationMode::FenceSpectre,
-            200,
-            20_000,
-            &sink,
-            "atk_fence",
-        );
-        assert_eq!(fixed_plain, fixed_metered);
+        let fixed = run_fixed(&cpu, &attack, MitigationMode::FenceSpectre, 200, 20_000);
+        fixed.record_fixed(&sink, "atk_fence");
         assert_eq!(
             registry.get("fixed.atk_fence.cycles"),
-            Some(fixed_plain.result.cycles)
+            Some(fixed.result.cycles)
         );
     }
 
     #[test]
     fn adaptive_on_benign_is_cheaper_than_always_on() {
-        let (det, norm) = trained_detector(4);
+        let (det, feat) = trained_detector(4);
         let mut rng = rand::rngs::StdRng::seed_from_u64(10);
         // A workload with independent loads (memory-level parallelism for
         // fencing to destroy); pure pointer-chasing serializes anyway.
@@ -772,7 +743,7 @@ mod tests {
             200,
             40_000,
         );
-        let adaptive = run_adaptive(&CpuConfig::default(), &workload, &det, &norm, &cfg, 40_000);
+        let adaptive = adaptive_run(&feat, &det, &workload, &cfg, 40_000);
         assert!(
             always.result.cycles > base.result.cycles,
             "always-on must cost cycles"
@@ -804,7 +775,7 @@ mod tests {
     #[test]
     fn non_finite_windows_fail_secure() {
         use evax_core::prelude::FaultKind;
-        let (mut det, norm) = trained_detector(5);
+        let (mut det, feat) = trained_detector(5);
         // Silence genuine flags so only the fail-secure path can engage
         // secure mode: no finite score reaches an infinite threshold.
         det.set_threshold(f32::INFINITY);
@@ -813,15 +784,11 @@ mod tests {
             secure_window: 400,
             ..Default::default()
         };
-        let mut ctl = AdaptiveController::new(&det, &norm, &cfg);
-        let dim = norm.dim();
+        let mut ctl = AdaptiveController::new(&feat, &det, &cfg);
+        let dim = feat.base_dim();
         let clean = vec![1.0f64; dim];
         assert_eq!(
-            ctl.window(&RawWindow {
-                values: &clean,
-                instructions: 200,
-                cycle: 400
-            }),
+            ctl.window(&window(&clean)),
             None,
             "a finite benign window must stay in performance mode"
         );
@@ -836,19 +803,11 @@ mod tests {
                 // Saturated-but-finite counters are hostile data, not an
                 // unobtainable verdict: they flow through normalization
                 // (which clamps to [0, 1]) and an ordinary verdict.
-                ctl.window(&RawWindow {
-                    values: &bad,
-                    instructions: 200,
-                    cycle: 400,
-                });
+                ctl.window(&window(&bad));
                 continue;
             }
             assert_eq!(
-                ctl.window(&RawWindow {
-                    values: &bad,
-                    instructions: 200,
-                    cycle: 400
-                }),
+                ctl.window(&window(&bad)),
                 Some(cfg.policy.mode()),
                 "non-finite window #{i} must engage secure mode"
             );
@@ -864,20 +823,12 @@ mod tests {
         // countdown: 400 instructions at interval 200 = two windows, and the
         // saturated (finite) window above already consumed the first.
         assert_eq!(
-            ctl.window(&RawWindow {
-                values: &clean,
-                instructions: 200,
-                cycle: 400
-            }),
+            ctl.window(&window(&clean)),
             Some(MitigationMode::None),
             "secure window must expire back to performance mode"
         );
         assert_eq!(
-            ctl.window(&RawWindow {
-                values: &clean,
-                instructions: 200,
-                cycle: 400
-            }),
+            ctl.window(&window(&clean)),
             None,
             "performance mode afterwards"
         );
@@ -902,23 +853,15 @@ mod tests {
     #[test]
     fn non_finite_scores_fail_secure_not_open() {
         use evax_core::prelude::{FaultInjector, FaultKind};
-        let (det, norm) = trained_detector(5);
-        let cfg = AdaptiveConfig {
-            sample_interval: 200,
-            secure_window: 2_000,
-            ..Default::default()
-        };
-        let dim = norm.dim();
+        let (det, feat) = trained_detector(5);
+        let cfg = cfg_200();
+        let dim = feat.base_dim();
         let clean = vec![1.0f64; dim];
         for kind in [FaultKind::NanScore, FaultKind::InfScore] {
             let inj = FaultInjector::new(kind, 7).with_intensity(1);
-            let mut ctl = AdaptiveController::new(&det, &norm, &cfg).with_faults(inj.clone());
+            let mut ctl = AdaptiveController::new(&feat, &det, &cfg).with_faults(inj.clone());
             assert_eq!(
-                ctl.window(&RawWindow {
-                    values: &clean,
-                    instructions: 200,
-                    cycle: 400
-                }),
+                ctl.window(&window(&clean)),
                 Some(cfg.policy.mode()),
                 "{kind:?}: an unscoreable verdict must hold mitigations ON"
             );
@@ -930,24 +873,15 @@ mod tests {
 
     #[test]
     fn disabled_injector_is_bitwise_invisible_in_runs() {
-        let (det, norm) = trained_detector(3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let attack = evax_attacks::build_attack(
-            evax_attacks::AttackClass::SpectrePht,
-            &evax_attacks::KernelParams::default(),
-            &mut rng,
-        );
-        let cfg = AdaptiveConfig {
-            sample_interval: 200,
-            secure_window: 2_000,
-            ..Default::default()
-        };
-        let cpu = CpuConfig::default();
-        let plain = run_adaptive(&cpu, &attack, &det, &norm, &cfg, 20_000);
-        let mut ctl = AdaptiveController::new(&det, &norm, &cfg)
+        let (det, feat) = trained_detector(3);
+        let attack = spectre_pht();
+        let cfg = cfg_200();
+        let plain = adaptive_run(&feat, &det, &attack, &cfg, 20_000);
+        let mut ctl = AdaptiveController::new(&feat, &det, &cfg)
             .with_faults(evax_core::prelude::FaultInjector::disabled());
         let result =
-            ProgramSource::new(&attack, &cpu, cfg.sample_interval, 20_000).stream(&mut ctl);
+            ProgramSource::new(&attack, &CpuConfig::default(), cfg.sample_interval, 20_000)
+                .stream(&mut ctl);
         let hooked = ctl.finish(result);
         assert_eq!(
             plain, hooked,

@@ -411,15 +411,9 @@ fn drain_batch(
     );
     for (i, &(slot, cycle, t0)) in batch.tags().iter().enumerate() {
         let s = &mut streams[slot];
-        let mode = if !scratch.scores[i].is_finite() {
-            // Fail-secure gate #2, batched form: an unscoreable window holds
-            // mitigations ON rather than comparing false against the
-            // threshold.
-            s.state.fail_secure(&cfg.adaptive)
-        } else {
+        let mode =
             s.state
-                .apply_verdict(scratch.verdicts[i], cycle, &cfg.adaptive)
-        };
+                .apply_scored(scratch.scores[i], scratch.verdicts[i], cycle, &cfg.adaptive);
         if let Some(mode) = mode {
             s.cpu.set_mitigation(mode);
         }
@@ -491,15 +485,12 @@ fn run_shard(
                         featurizer.normalizer().normalize_into(&raw, &mut base);
                         let score = detector.score(&base);
                         let s = &mut streams[slot];
-                        let mode = if !score.is_finite() {
-                            s.state.fail_secure(&cfg.adaptive)
-                        } else {
-                            s.state.apply_verdict(
-                                score >= detector.threshold(),
-                                cycle,
-                                &cfg.adaptive,
-                            )
-                        };
+                        let mode = s.state.apply_scored(
+                            score,
+                            score >= detector.threshold(),
+                            cycle,
+                            &cfg.adaptive,
+                        );
                         if let Some(mode) = mode {
                             s.cpu.set_mitigation(mode);
                         }

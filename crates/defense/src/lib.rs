@@ -43,11 +43,10 @@ pub mod fleet;
 pub mod overhead;
 
 pub use adaptive::{
-    run_adaptive, run_adaptive_with_metrics, run_adaptive_with_model, run_fixed,
-    run_fixed_with_metrics, AdaptiveConfig, AdaptiveController, AdaptiveRun, Policy,
+    run_adaptive, run_fixed, AdaptiveConfig, AdaptiveController, AdaptiveRun, Policy,
     SecureModeState,
 };
 pub use fleet::{
     run_fleet, run_fleet_with_model, FleetConfig, FleetReport, InferenceMode, StreamOutcome,
 };
-pub use overhead::{measure_workload, measure_workload_with, overhead_suite, OverheadRow};
+pub use overhead::{measure_workload, overhead_suite, OverheadRow};

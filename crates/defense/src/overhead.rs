@@ -6,6 +6,7 @@
 use evax_attacks::benign::Scale;
 use evax_attacks::{build_benign, BenignKind, BENIGN_KINDS};
 use evax_core::pipeline::EvaxPipeline;
+use evax_core::prelude::{Featurizer, MetricsSink, ModelDetector};
 use evax_sim::{CpuConfig, MitigationMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,13 +43,13 @@ impl OverheadRow {
     }
 }
 
-/// Measures one workload under baseline / always-on / adaptive, with an
-/// explicit detector (lets experiments compare EVAX- vs PerSpectron-gated
-/// adaptive architectures).
+/// Measures one workload under baseline / always-on / adaptive, the
+/// adaptive run gated by `model` on `featurizer`'s rows (so experiments can
+/// compare EVAX- vs PerSpectron-gated adaptive architectures).
 #[allow(clippy::too_many_arguments)]
-pub fn measure_workload_with(
-    detector: &evax_core::detector::Detector,
-    normalizer: &evax_core::dataset::Normalizer,
+pub fn measure_workload(
+    featurizer: &Featurizer,
+    model: &dyn ModelDetector,
     sample_interval: u64,
     kind: BenignKind,
     policy: Policy,
@@ -86,10 +87,11 @@ pub fn measure_workload_with(
     let adaptive = run_adaptive(
         &cpu_cfg,
         &program(seed),
-        detector,
-        normalizer,
+        featurizer,
+        model,
         &adaptive_cfg,
         max_instrs,
+        &MetricsSink::default(),
     );
     let overhead = |c: u64| c as f64 / base.result.cycles.max(1) as f64 - 1.0;
     OverheadRow {
@@ -103,32 +105,24 @@ pub fn measure_workload_with(
     }
 }
 
-/// Measures one workload with the pipeline's EVAX detector.
-pub fn measure_workload(
-    pipeline: &EvaxPipeline,
-    kind: BenignKind,
-    policy: Policy,
-    max_instrs: u64,
-    scale: u64,
-    seed: u64,
-) -> OverheadRow {
-    measure_workload_with(
-        &pipeline.evax,
-        &pipeline.normalizer,
-        pipeline.sample_interval,
-        kind,
-        policy,
-        max_instrs,
-        scale,
-        seed,
-    )
-}
-
-/// The full Fig. 16 sweep: every benign workload under one policy.
+/// The full Fig. 16 sweep: every benign workload under one policy, gated
+/// by the pipeline's EVAX detector.
 pub fn overhead_suite(pipeline: &EvaxPipeline, policy: Policy, seed: u64) -> Vec<OverheadRow> {
+    let featurizer = pipeline.featurizer();
     BENIGN_KINDS
         .iter()
-        .map(|&kind| measure_workload(pipeline, kind, policy, 60_000, 50_000, seed))
+        .map(|&kind| {
+            measure_workload(
+                &featurizer,
+                &pipeline.evax,
+                pipeline.sample_interval,
+                kind,
+                policy,
+                60_000,
+                50_000,
+                seed,
+            )
+        })
         .collect()
 }
 

@@ -10,17 +10,21 @@ use evax::attacks::{build_attack, AttackClass, KernelParams};
 use evax::core::prelude::{EvaxConfig, EvaxPipeline};
 use evax::defense::adaptive::{run_adaptive, AdaptiveConfig, Policy};
 use evax::defense::overhead::measure_workload;
+use evax::obs::MetricsSink;
 use evax::sim::CpuConfig;
 use rand::SeedableRng;
 
 fn main() {
     println!("training EVAX pipeline...");
     let pipeline = EvaxPipeline::run(&EvaxConfig::small(), 42);
+    let featurizer = pipeline.featurizer();
 
     // ---- Performance: benign workload under three regimes ----
     println!("\nbenign workload (compression), Fence-Futuristic policy:");
     let row = measure_workload(
-        &pipeline,
+        &featurizer,
+        &pipeline.evax,
+        pipeline.sample_interval,
         evax::attacks::BenignKind::Compression,
         Policy::FenceFuturistic,
         60_000,
@@ -59,10 +63,11 @@ fn main() {
     let run = run_adaptive(
         &CpuConfig::default(),
         &attack,
+        &featurizer,
         &pipeline.evax,
-        &pipeline.normalizer,
         &cfg,
         100_000,
+        &MetricsSink::default(),
     );
     println!("\nspectre-pht under the adaptive architecture:");
     println!("  detector flags      : {}", run.flags);

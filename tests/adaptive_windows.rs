@@ -5,9 +5,10 @@
 use evax::attacks::benign::Scale;
 use evax::attacks::{build_attack, build_benign, AttackClass, BenignKind, KernelParams};
 use evax::core::collect::{collect_dataset, CollectConfig};
-use evax::core::dataset::Normalizer;
 use evax::core::detector::{Detector, DetectorKind, TrainConfig};
+use evax::core::featurize::Featurizer;
 use evax::defense::adaptive::{run_adaptive, run_fixed, AdaptiveConfig, Policy};
+use evax::obs::MetricsSink;
 use evax::sim::{CpuConfig, MitigationMode};
 use rand::SeedableRng;
 
@@ -22,7 +23,7 @@ fn small_collect() -> CollectConfig {
     }
 }
 
-fn trained(seed: u64) -> (Detector, Normalizer) {
+fn trained(seed: u64) -> (Detector, Featurizer) {
     let (ds, norm) = collect_dataset(&small_collect(), seed);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut det = Detector::train(
@@ -33,12 +34,12 @@ fn trained(seed: u64) -> (Detector, Normalizer) {
         &mut rng,
     );
     det.tune_for_class_coverage(&ds, 0.5);
-    (det, norm)
+    (det, Featurizer::baseline(norm))
 }
 
 #[test]
 fn secure_window_extends_while_attack_continues() {
-    let (det, norm) = trained(21);
+    let (det, feat) = trained(21);
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
     // A long-running attack: every window flags, so secure mode must cover
     // nearly the whole run even though each grant is short.
@@ -55,7 +56,15 @@ fn secure_window_extends_while_attack_continues() {
         secure_window: 400, // much shorter than the attack
         policy: Policy::FenceSpectre,
     };
-    let run = run_adaptive(&CpuConfig::default(), &attack, &det, &norm, &cfg, 30_000);
+    let run = run_adaptive(
+        &CpuConfig::default(),
+        &attack,
+        &feat,
+        &det,
+        &cfg,
+        30_000,
+        &MetricsSink::default(),
+    );
     assert!(
         run.flags > 10,
         "continuous attack keeps re-flagging: {}",
@@ -71,7 +80,7 @@ fn secure_window_extends_while_attack_continues() {
 
 #[test]
 fn secure_window_expires_after_attack_phase() {
-    let (det, norm) = trained(22);
+    let (det, feat) = trained(22);
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     // Short attack phase followed by a long benign phase in one composite
     // program: concatenate attack instructions then benign instructions.
@@ -115,7 +124,15 @@ fn secure_window_expires_after_attack_phase() {
         secure_window: 1_000,
         policy: Policy::FenceFuturistic,
     };
-    let run = run_adaptive(&CpuConfig::default(), &program, &det, &norm, &cfg, 40_000);
+    let run = run_adaptive(
+        &CpuConfig::default(),
+        &program,
+        &feat,
+        &det,
+        &cfg,
+        40_000,
+        &MetricsSink::default(),
+    );
     assert!(run.flags > 0, "attack phase must flag (len {attack_len})");
     // The benign tail dominates, so secure coverage must be well under half.
     assert!(
@@ -148,7 +165,7 @@ fn fixed_mode_accounting_matches_mode() {
 
 #[test]
 fn adaptive_never_slower_than_always_on_for_benign_work() {
-    let (det, norm) = trained(23);
+    let (det, feat) = trained(23);
     for kind in [
         BenignKind::Compression,
         BenignKind::Scheduler,
@@ -168,7 +185,15 @@ fn adaptive_never_slower_than_always_on_for_benign_work() {
             secure_window: 2_000,
             policy: Policy::FenceFuturistic,
         };
-        let adaptive = run_adaptive(&CpuConfig::default(), &w, &det, &norm, &cfg, 30_000);
+        let adaptive = run_adaptive(
+            &CpuConfig::default(),
+            &w,
+            &feat,
+            &det,
+            &cfg,
+            30_000,
+            &MetricsSink::default(),
+        );
         // False positives can buy short secure windows, so allow a small
         // slack; the invariant is "adaptive is never meaningfully slower".
         assert!(

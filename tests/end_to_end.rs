@@ -6,6 +6,7 @@ use evax::attacks::{build_attack, build_benign, AttackClass, BenignKind, KernelP
 use evax::core::collect::{collect_program, CollectConfig};
 use evax::core::pipeline::{EvaxConfig, EvaxPipeline};
 use evax::defense::adaptive::{run_adaptive, AdaptiveConfig, Policy};
+use evax::obs::MetricsSink;
 use evax::sim::CpuConfig;
 use rand::SeedableRng;
 
@@ -107,10 +108,11 @@ fn adaptive_architecture_defends_and_stays_cheap() {
     let attacked = run_adaptive(
         &CpuConfig::default(),
         &attack,
+        &pipeline.featurizer(),
         &pipeline.evax,
-        &pipeline.normalizer,
         &cfg,
         40_000,
+        &MetricsSink::default(),
     );
     assert!(attacked.flags > 0, "attack must be flagged");
     assert!(
@@ -124,10 +126,11 @@ fn adaptive_architecture_defends_and_stays_cheap() {
     let benign = run_adaptive(
         &CpuConfig::default(),
         &workload,
+        &pipeline.featurizer(),
         &pipeline.evax,
-        &pipeline.normalizer,
         &cfg,
         40_000,
+        &MetricsSink::default(),
     );
     assert!(
         benign.secure_instructions * 4 < benign.result.committed_instructions.max(1),

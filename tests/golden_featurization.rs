@@ -21,6 +21,7 @@ use evax::core::featurize::{
 };
 use evax::core::par::{self, Parallelism};
 use evax::defense::{run_adaptive, AdaptiveConfig, Policy};
+use evax::obs::MetricsSink;
 use evax::sim::isa::Program;
 use evax::sim::{Cpu, CpuConfig, MitigationMode};
 use rand::rngs::StdRng;
@@ -280,10 +281,11 @@ fn adaptive_controller_matches_handrolled_oracle() {
         let run = run_adaptive(
             &CpuConfig::default(),
             program,
+            &Featurizer::baseline(norm.clone()),
             &detector,
-            &norm,
             &acfg,
             20_000,
+            &MetricsSink::default(),
         );
         let label = format!("class {class}");
         assert_eq!(run.flags, flags, "[{label}] flag count diverged");
