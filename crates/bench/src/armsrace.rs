@@ -42,6 +42,7 @@ use evax_core::prelude::{
     StochasticDetector, TrainConfig, Vaccination,
 };
 use evax_nn::QuantLinear;
+use evax_sim::snapshot::Fnv1a;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -266,17 +267,9 @@ impl Deployment {
     }
 }
 
-fn fnv1a(digest: &mut u64, rates: &PerVariant<Rate>) {
+fn digest_rates(digest: &mut Fnv1a, rates: &PerVariant<Rate>) {
     for (_, r) in rates.named() {
-        for b in r
-            .hits
-            .to_le_bytes()
-            .into_iter()
-            .chain(r.total.to_le_bytes())
-        {
-            *digest ^= b as u64;
-            *digest = digest.wrapping_mul(0x100_0000_01b3);
-        }
+        digest.word(r.hits).word(r.total);
     }
 }
 
@@ -408,11 +401,11 @@ pub fn run_arms_race(cfg: &ArmsRaceConfig) -> ArmsRaceReport {
     let carrier = deploy.measure(&carrier_eval, true);
     let carrier_fp = deploy.measure(&carrier_eval, false);
 
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    fnv1a(&mut digest, &clean);
-    fnv1a(&mut digest, &clean_fp);
-    fnv1a(&mut digest, &carrier);
-    fnv1a(&mut digest, &carrier_fp);
+    let mut digest = Fnv1a::default();
+    digest_rates(&mut digest, &clean);
+    digest_rates(&mut digest, &clean_fp);
+    digest_rates(&mut digest, &carrier);
+    digest_rates(&mut digest, &carrier_fp);
 
     let mut accumulated = train.clone();
     let mut rounds = Vec::with_capacity(cfg.rounds);
@@ -420,7 +413,7 @@ pub fn run_arms_race(cfg: &ArmsRaceConfig) -> ArmsRaceReport {
         eprintln!("[armsrace] round {round}: adversary generates evasive corpus...");
         let corpus = evasive_corpus(&deploy, round, cfg, &collect, &norm);
         let pre = deploy.measure(&corpus, true);
-        fnv1a(&mut digest, &pre);
+        digest_rates(&mut digest, &pre);
 
         eprintln!(
             "[armsrace] round {round}: baseline pre-adaptation detection {:.3} \
@@ -434,7 +427,7 @@ pub fn run_arms_race(cfg: &ArmsRaceConfig) -> ArmsRaceReport {
         }
         deploy = Deployment::train(&accumulated, cfg, round as u64);
         let post = deploy.measure(&corpus, true);
-        fnv1a(&mut digest, &post);
+        digest_rates(&mut digest, &post);
 
         rounds.push(RoundReport {
             round,
@@ -451,7 +444,7 @@ pub fn run_arms_race(cfg: &ArmsRaceConfig) -> ArmsRaceReport {
         carrier,
         carrier_fp,
         rounds,
-        verdict_digest: format!("{digest:016x}"),
+        verdict_digest: format!("{:016x}", digest.finish()),
     }
 }
 

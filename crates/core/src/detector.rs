@@ -289,11 +289,6 @@ impl Detector {
         self.presence_cut
     }
 
-    /// Sets the presence-bit cut.
-    pub fn set_presence_cut(&mut self, cut: f32) {
-        self.presence_cut = cut;
-    }
-
     /// Quantizes to the hardware datapath, along with the per-feature
     /// presence-bit cut (features above the cut count as 1).
     pub fn quantize(&self) -> (QuantizedWeights, f32) {

@@ -713,11 +713,6 @@ impl<'a> DatasetSink<'a> {
         }
     }
 
-    /// Relabels subsequent windows (sources that stream several programs).
-    pub fn set_class(&mut self, class: usize) {
-        self.class = class;
-    }
-
     /// The accumulated dataset.
     pub fn into_dataset(self) -> Dataset {
         self.dataset

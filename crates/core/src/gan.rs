@@ -103,7 +103,6 @@ pub struct EpochStats {
 #[derive(Debug, Clone)]
 pub struct AmGan {
     gan: CondGan,
-    cfg: AmGanConfig,
     history: Vec<EpochStats>,
 }
 
@@ -202,7 +201,6 @@ impl AmGan {
             }
             let am = AmGan {
                 gan: gan.clone(),
-                cfg: cfg.clone(),
                 history: Vec::new(),
             };
             let style = am.mean_style_loss(dataset, &style_idx, rng);
@@ -224,11 +222,7 @@ impl AmGan {
                 style_loss: style,
             });
         }
-        AmGan {
-            gan: best,
-            cfg: cfg.clone(),
-            history,
-        }
+        AmGan { gan: best, history }
     }
 
     /// Per-epoch telemetry (Fig. 7's style-loss-vs-iteration series).
@@ -244,15 +238,6 @@ impl AmGan {
     /// Borrow the underlying conditional GAN.
     pub fn gan(&self) -> &CondGan {
         &self.gan
-    }
-
-    /// `true` once the style loss has converged under the gate — the
-    /// paper's criterion for starting sample collection.
-    pub fn style_converged(&self) -> bool {
-        self.history
-            .last()
-            .map(|h| h.style_loss <= self.cfg.style_gate)
-            .unwrap_or(false)
     }
 
     /// Mean style loss of generated samples against real samples, over the

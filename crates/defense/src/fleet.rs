@@ -44,6 +44,7 @@ use evax_core::par::{self, round_robin_shards, Parallelism};
 use evax_core::prelude::{Detector, Featurizer, WindowBatch};
 use evax_nn::detector::{Detector as ModelDetector, DetectorScratch};
 use evax_obs::json::{Object, Value};
+use evax_sim::snapshot::Fnv1a;
 use evax_sim::{Cpu, CpuConfig, Program, RunResult, SampledCursor, SampledStep};
 use rand::SeedableRng;
 
@@ -221,25 +222,19 @@ impl FleetReport {
     /// changes. The determinism tests compare this (inside
     /// [`FleetReport::deterministic_json`]) across thread counts.
     pub fn verdict_digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
+        let mut h = Fnv1a::default();
         for o in &self.outcomes {
-            eat(o.stream_id as u64);
-            eat(o.class_label as u64);
-            eat(o.windows);
-            eat(o.flags);
-            eat(o.fail_secure_switches);
-            eat(o.first_flag_cycle.map_or(u64::MAX, |c| c));
-            eat(o.secure_instructions);
-            eat(o.committed_instructions);
-            eat(o.cycles);
+            h.word(o.stream_id as u64)
+                .word(o.class_label as u64)
+                .word(o.windows)
+                .word(o.flags)
+                .word(o.fail_secure_switches)
+                .word(o.first_flag_cycle.unwrap_or(u64::MAX))
+                .word(o.secure_instructions)
+                .word(o.committed_instructions)
+                .word(o.cycles);
         }
-        h
+        h.finish()
     }
 
     /// The deterministic block of `BENCH_fleet.json`: aggregates plus the

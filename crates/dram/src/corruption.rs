@@ -9,6 +9,8 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+use crate::state::Words;
+
 /// Multiplicative hasher for `(bank, row)` keys. Activation bookkeeping
 /// sits on the DRAM hot path (every row activation probes these maps
 /// several times), where SipHash dominates; the keys are small integers,
@@ -41,7 +43,9 @@ impl Hasher for RowHasher {
 type RowMap<V> = HashMap<(usize, u64), V, BuildHasherDefault<RowHasher>>;
 
 /// A single induced bit flip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub struct BitFlip {
     /// Bank containing the victim row.
     pub bank: usize,
@@ -185,70 +189,49 @@ impl CorruptionModule {
         &self.flips
     }
 
-    /// Appends disturbance state (activation counts, induced flips, armed
-    /// victims) to a snapshot word stream. Maps are emitted sorted by key so
-    /// the stream is independent of `HashMap` iteration order.
-    pub(crate) fn save_state(&self, out: &mut Vec<u64>) {
-        let mut counts: Vec<((usize, u64), u32)> =
-            self.counts.iter().map(|(&k, &v)| (k, v)).collect();
-        counts.sort_unstable_by_key(|&(k, _)| k);
-        out.push(counts.len() as u64);
-        for ((bank, row), count) in counts {
-            out.extend_from_slice(&[bank as u64, row, count as u64]);
-        }
-        out.push(self.flips.len() as u64);
-        for flip in &self.flips {
-            out.extend_from_slice(&[flip.bank as u64, flip.row, flip.byte, flip.bit as u64]);
-        }
-        let mut armed: Vec<(usize, u64)> = self.flipped_this_window.keys().copied().collect();
-        armed.sort_unstable();
-        out.push(armed.len() as u64);
-        for (bank, row) in armed {
-            out.push(bank as u64);
-            out.push(row);
-        }
-    }
-
-    /// Restores state written by [`CorruptionModule::save_state`]. Returns
-    /// `None` on a truncated or malformed stream.
-    pub(crate) fn load_state(&mut self, w: &mut std::slice::Iter<'_, u64>) -> Option<()> {
-        let n = usize::try_from(*w.next()?).ok()?;
-        self.counts.clear();
-        for _ in 0..n {
-            let bank = usize::try_from(*w.next()?).ok()?;
-            let row = *w.next()?;
-            let count = u32::try_from(*w.next()?).ok()?;
-            self.counts.insert((bank, row), count);
-        }
-        let near = self
+    /// Visits the disturbance state (see [`crate::state`]): activation
+    /// counts, induced flips, and armed victims. Maps are visited sorted by
+    /// key, so the words do not depend on `HashMap` iteration order; a
+    /// loaded count must fit `u32` and a flipped bit must be `< 8`.
+    pub(crate) fn state(&mut self, w: &mut Words<'_>) -> Option<()> {
+        let mut counts: Vec<(usize, u64, u64)> = self
             .counts
             .iter()
-            .filter(|(&(bank, row), &c)| c * 2 >= self.row_threshold(bank, row))
-            .count() as u64;
-        self.near_threshold = near;
-        let n = usize::try_from(*w.next()?).ok()?;
-        self.flips.clear();
-        for _ in 0..n {
-            let bank = usize::try_from(*w.next()?).ok()?;
-            let row = *w.next()?;
-            let byte = *w.next()?;
-            let bit = u8::try_from(*w.next()?).ok()?;
-            if bit >= 8 {
-                return None;
-            }
-            self.flips.push(BitFlip {
-                bank,
-                row,
-                byte,
-                bit,
-            });
-        }
-        let n = usize::try_from(*w.next()?).ok()?;
-        self.flipped_this_window.clear();
-        for _ in 0..n {
-            let bank = usize::try_from(*w.next()?).ok()?;
-            let row = *w.next()?;
-            self.flipped_this_window.insert((bank, row), ());
+            .map(|(&(bank, row), &count)| (bank, row, count.into()))
+            .collect();
+        counts.sort_unstable();
+        w.seq(&mut counts, usize::MAX, |w, (bank, row, count)| {
+            w.usize(bank)?;
+            w.u64(row)?;
+            *count = w.below(*count, 1 << 32)?;
+            Some(())
+        })?;
+        w.seq(&mut self.flips, usize::MAX, |w, flip| {
+            w.usize(&mut flip.bank)?;
+            w.u64s([&mut flip.row, &mut flip.byte])?;
+            flip.bit = w.below(flip.bit.into(), 8)? as u8;
+            Some(())
+        })?;
+        let mut armed: Vec<(usize, u64)> = self.flipped_this_window.keys().copied().collect();
+        armed.sort_unstable();
+        w.seq(&mut armed, usize::MAX, |w, (bank, row)| {
+            w.usize(bank)?;
+            w.u64(row)
+        })?;
+        if w.loading() {
+            self.counts = counts
+                .into_iter()
+                .map(|(bank, row, count)| ((bank, row), count as u32))
+                .collect();
+            self.near_threshold = self
+                .counts
+                .iter()
+                .filter(|(&(bank, row), &c)| {
+                    // Widened: a loaded count may be anywhere in `u32`.
+                    u64::from(c) * 2 >= u64::from(self.row_threshold(bank, row))
+                })
+                .count() as u64;
+            self.flipped_this_window = armed.into_iter().map(|key| (key, ())).collect();
         }
         Some(())
     }
@@ -357,5 +340,20 @@ mod tests {
         assert_eq!(m.activation_count(0, 5), 99);
         assert_eq!(m.activation_count(1, 5), 99);
         assert!(m.flips().is_empty());
+    }
+
+    #[test]
+    fn out_of_range_words_fail_to_load() {
+        let mut m = module();
+        for _ in 0..100 {
+            m.on_activate(0, 5);
+        }
+        assert_eq!(m.flips().len(), 2);
+        // [1 count: bank, row, count] [2 flips: bank, row, byte, bit ...] ...
+        let reload = |at, v| crate::state::reload(&m, CorruptionModule::state, at, v);
+        assert!(reload(3, 1 << 32).is_none(), "count must fit u32");
+        assert!(reload(3, u32::MAX.into()).is_some());
+        assert!(reload(8, 8).is_none(), "flip bit must be < 8");
+        assert!(reload(8, 7).is_some());
     }
 }

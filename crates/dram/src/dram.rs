@@ -5,6 +5,7 @@ use std::collections::VecDeque;
 
 use crate::config::DramConfig;
 use crate::corruption::{BitFlip, CorruptionModule};
+use crate::state::Words;
 use crate::stats::DramStats;
 
 /// Kind of memory access presented to the DRAM controller.
@@ -220,50 +221,30 @@ impl Dram {
         }
     }
 
-    /// Appends the full device state — bank row buffers, write queue,
-    /// refresh clock, disturbance module, and statistics — to a snapshot
-    /// word stream. Geometry/timing come from the [`DramConfig`] at restore;
-    /// callers are responsible for restoring into an identically configured
-    /// device (the simulator's snapshot header fingerprints the config).
-    pub fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.last_refresh);
-        for bank in &self.banks {
-            out.push(match bank {
-                RowState::Idle => u64::MAX,
-                RowState::Open(row) => *row,
-            });
-        }
-        out.push(self.write_queue.len() as u64);
-        for &line in &self.write_queue {
-            out.push(line);
-        }
-        self.corruption.save_state(out);
-        self.stats.save_state(out);
-    }
-
-    /// Restores state written by [`Dram::save_state`] into a device built
-    /// from the same configuration. Returns `None` on a truncated or
-    /// malformed stream.
-    pub fn load_state(&mut self, w: &mut std::slice::Iter<'_, u64>) -> Option<()> {
-        self.last_refresh = *w.next()?;
+    /// Visits the device state — refresh clock, bank row buffers, write
+    /// queue, disturbance module, statistics (see [`crate::state`]).
+    /// Geometry and timing come from the [`DramConfig`], which the
+    /// simulator's snapshot header fingerprints. An open row must lie
+    /// inside the bank.
+    pub fn state(&mut self, w: &mut Words<'_>) -> Option<()> {
+        w.u64(&mut self.last_refresh)?;
         for bank in &mut self.banks {
-            let row = *w.next()?;
-            *bank = if row == u64::MAX {
-                RowState::Idle
-            } else if row < self.cfg.rows_per_bank {
-                RowState::Open(row)
-            } else {
-                return None;
+            let mut row = match *bank {
+                RowState::Idle => u64::MAX,
+                RowState::Open(row) => row,
+            };
+            w.u64(&mut row)?;
+            *bank = match row {
+                u64::MAX => RowState::Idle,
+                row if row < self.cfg.rows_per_bank => RowState::Open(row),
+                _ => return None,
             };
         }
-        let n = usize::try_from(*w.next()?).ok()?;
-        self.write_queue.clear();
-        for _ in 0..n {
-            self.write_queue.push_back(*w.next()?);
-        }
-        self.corruption.load_state(w)?;
-        self.stats.load_state(w)?;
-        Some(())
+        let n = w.prefix(self.write_queue.len(), usize::MAX)?;
+        self.write_queue.resize(n, 0);
+        w.u64s(&mut self.write_queue)?;
+        self.corruption.state(w)?;
+        self.stats.state(w)
     }
 
     /// Drains the entire write queue to the array (end-of-simulation flush).
@@ -392,5 +373,21 @@ mod tests {
         d.access(d.address_of(0, 0), AccessKind::Read, 0);
         d.access(d.address_of(0, 5), AccessKind::Read, 10);
         assert!(d.stats().energy > e0);
+    }
+
+    #[test]
+    fn open_row_outside_the_bank_fails_to_load() {
+        let d = dram();
+        let rows = d.config().rows_per_bank;
+        // Word 0 is the refresh clock; word 1 is bank 0's open row.
+        assert!(crate::state::reload(&d, Dram::state, 1, rows).is_none());
+        assert!(crate::state::reload(&d, Dram::state, 1, rows - 1).is_some());
+        assert!(
+            crate::state::reload(&d, Dram::state, 1, u64::MAX).is_some(),
+            "idle"
+        );
+        // The write-queue length prefix follows the banks.
+        let queue = 1 + d.config().banks;
+        assert!(crate::state::reload(&d, Dram::state, queue, u64::MAX).is_none());
     }
 }

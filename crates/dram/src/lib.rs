@@ -32,6 +32,7 @@
 pub mod config;
 pub mod corruption;
 pub mod dram;
+pub mod state;
 pub mod stats;
 
 pub use config::DramConfig;

@@ -1,5 +1,7 @@
 //! DRAM-side event counters exported to the detector feature space.
 
+use crate::state::Words;
+
 /// Counters maintained by [`crate::Dram`], named after the Ramulator/gem5
 /// statistics the EVAX paper lists as highly correlated with DRAM-side
 /// attacks (`selfRefreshEnergy`, `bytesPerActivate`, `bytesReadWrQ`, §VIII-C).
@@ -40,8 +42,8 @@ pub struct DramStats {
 }
 
 impl DramStats {
-    /// Appends every counter to a snapshot word stream, in field order.
-    pub(crate) fn save_state(&self, out: &mut Vec<u64>) {
+    /// Visits every counter, in field order (see [`crate::state`]).
+    pub(crate) fn state(&mut self, w: &mut Words<'_>) -> Option<()> {
         let DramStats {
             activations,
             row_buffer_hits,
@@ -58,8 +60,8 @@ impl DramStats {
             energy,
             bit_flips,
             rows_near_threshold,
-        } = self.clone();
-        out.extend_from_slice(&[
+        } = self;
+        w.u64s([
             activations,
             row_buffer_hits,
             row_buffer_conflicts,
@@ -75,32 +77,7 @@ impl DramStats {
             energy,
             bit_flips,
             rows_near_threshold,
-        ]);
-    }
-
-    /// Reads every counter back from a snapshot word stream. Returns `None`
-    /// if the stream runs out.
-    pub(crate) fn load_state(&mut self, w: &mut std::slice::Iter<'_, u64>) -> Option<()> {
-        for field in [
-            &mut self.activations,
-            &mut self.row_buffer_hits,
-            &mut self.row_buffer_conflicts,
-            &mut self.row_buffer_empty,
-            &mut self.precharges,
-            &mut self.refreshes,
-            &mut self.read_reqs,
-            &mut self.write_reqs,
-            &mut self.bytes_read,
-            &mut self.bytes_written,
-            &mut self.bytes_read_wr_q,
-            &mut self.write_bursts,
-            &mut self.energy,
-            &mut self.bit_flips,
-            &mut self.rows_near_threshold,
-        ] {
-            *field = *w.next()?;
-        }
-        Some(())
+        ])
     }
 
     /// Bytes accessed per row activation — the paper's `bytesPerActivate`.

@@ -94,11 +94,6 @@ impl Network {
         &self.layers
     }
 
-    /// Mutably borrow the layer stack.
-    pub fn layers_mut(&mut self) -> &mut [Dense] {
-        &mut self.layers
-    }
-
     /// Inference forward pass.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut cur = self.layers[0].forward(x);

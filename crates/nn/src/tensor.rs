@@ -171,11 +171,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Iterator over rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks(self.cols.max(1))
-    }
-
     /// Matrix product `self * other`.
     ///
     /// Large products fan out across worker threads (see
@@ -388,29 +383,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise (Hadamard) product into a new matrix.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "shape mismatch"
-        );
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| a * b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// In-place scaling by a scalar.
     pub fn scale(&mut self, k: f32) {
         for v in &mut self.data {
@@ -482,11 +454,6 @@ impl Matrix {
             out.row_mut(i).copy_from_slice(self.row(idx));
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Mean of all elements. Returns 0 for an empty matrix.

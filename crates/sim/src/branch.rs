@@ -1,6 +1,8 @@
 //! Branch prediction: tournament (local + global + choice), BTB, and RAS —
 //! the structures Table II configures and the Spectre family mistrains.
 
+use evax_dram::state::Words;
+
 /// Saturating 2-bit counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct Ctr2(u8);
@@ -104,31 +106,18 @@ impl TournamentPredictor {
         self.ghr = ((self.ghr << 1) | actual as u64) & ((1 << self.global_bits) - 1);
     }
 
-    /// Appends predictor state (histories + all counter tables) to a
-    /// snapshot word stream. Table sizes are fixed by [`Self::new`].
-    pub(crate) fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.ghr);
-        out.extend(self.local_hist.iter().map(|&h| h as u64));
-        for table in [&self.local_pht, &self.global_pht, &self.choice] {
-            out.extend(table.iter().map(|c| c.0 as u64));
-        }
-    }
-
-    /// Restores state written by [`TournamentPredictor::save_state`].
-    /// Returns `None` on a truncated stream or an out-of-range counter.
-    pub(crate) fn load_state(&mut self, w: &mut std::slice::Iter<'_, u64>) -> Option<()> {
-        self.ghr = *w.next()?;
+    /// Visits predictor state — global history, local histories, then the
+    /// local, global and choice counter tables (see [`evax_dram::state`]).
+    /// Table sizes are fixed by [`Self::new`]; a loaded local history must
+    /// fit `u16` and a counter must be `<= 3`.
+    pub(crate) fn state(&mut self, w: &mut Words<'_>) -> Option<()> {
+        w.u64(&mut self.ghr)?;
         for h in &mut self.local_hist {
-            *h = u16::try_from(*w.next()?).ok()?;
+            *h = w.below((*h).into(), 1 << 16)? as u16;
         }
-        for table in [&mut self.local_pht, &mut self.global_pht, &mut self.choice] {
-            for c in table.iter_mut() {
-                let v = *w.next()?;
-                if v > 3 {
-                    return None;
-                }
-                *c = Ctr2(v as u8);
-            }
+        let tables = [&mut self.local_pht, &mut self.global_pht, &mut self.choice];
+        for c in tables.into_iter().flatten() {
+            c.0 = w.below(c.0.into(), 4)? as u8;
         }
         Some(())
     }
@@ -173,35 +162,15 @@ impl Btb {
         self.entries[pc % len] = Some((pc, target));
     }
 
-    /// Appends BTB contents to a snapshot word stream (3 words per slot).
-    pub(crate) fn save_state(&self, out: &mut Vec<u64>) {
-        for entry in &self.entries {
-            match entry {
-                Some((tag, target)) => {
-                    out.push(1);
-                    out.push(*tag as u64);
-                    out.push(*target as u64);
-                }
-                None => {
-                    out.push(0);
-                    out.push(0);
-                    out.push(0);
-                }
-            }
-        }
-    }
-
-    /// Restores state written by [`Btb::save_state`].
-    pub(crate) fn load_state(&mut self, w: &mut std::slice::Iter<'_, u64>) -> Option<()> {
+    /// Visits BTB contents, three words per slot: a 0/1 present flag, the
+    /// tag and the target (see [`evax_dram::state`]).
+    pub(crate) fn state(&mut self, w: &mut Words<'_>) -> Option<()> {
         for entry in &mut self.entries {
-            let present = *w.next()?;
-            let tag = usize::try_from(*w.next()?).ok()?;
-            let target = usize::try_from(*w.next()?).ok()?;
-            *entry = match present {
-                0 => None,
-                1 => Some((tag, target)),
-                _ => return None,
-            };
+            let (mut present, (mut tag, mut target)) = (entry.is_some(), entry.unwrap_or_default());
+            w.flag(&mut present)?;
+            w.usize(&mut tag)?;
+            w.usize(&mut target)?;
+            *entry = present.then_some((tag, target));
         }
         Some(())
     }
@@ -272,28 +241,13 @@ impl Ras {
         self.used
     }
 
-    /// Appends RAS state to a snapshot word stream. Capacity is fixed by
-    /// construction.
-    pub(crate) fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.top as u64);
-        out.push(self.used as u64);
-        out.extend(self.stack.iter().map(|&a| a as u64));
-    }
-
-    /// Restores state written by [`Ras::save_state`]. Returns `None` on a
-    /// truncated stream or indices beyond this RAS's capacity.
-    pub(crate) fn load_state(&mut self, w: &mut std::slice::Iter<'_, u64>) -> Option<()> {
-        let top = usize::try_from(*w.next()?).ok()?;
-        let used = usize::try_from(*w.next()?).ok()?;
-        if top >= self.capacity || used > self.capacity {
-            return None;
-        }
-        self.top = top;
-        self.used = used;
-        for slot in &mut self.stack {
-            *slot = usize::try_from(*w.next()?).ok()?;
-        }
-        Some(())
+    /// Visits RAS state — top, used, then every slot (see
+    /// [`evax_dram::state`]). Capacity is fixed by construction; a loaded
+    /// `top` must be `< capacity` and `used <= capacity`.
+    pub(crate) fn state(&mut self, w: &mut Words<'_>) -> Option<()> {
+        self.top = w.below(self.top as u64, self.capacity as u64)? as usize;
+        self.used = w.below(self.used as u64, self.capacity as u64 + 1)? as usize;
+        self.stack.iter_mut().try_for_each(|slot| w.usize(slot))
     }
 }
 
@@ -402,5 +356,37 @@ mod tests {
         r.restore(&snap);
         assert_eq!(r.depth(), 1);
         assert_eq!(r.pop(), Some(10));
+    }
+
+    #[test]
+    fn out_of_range_words_fail_to_load() {
+        let bp = TournamentPredictor::new();
+        // Word 0 is the global history, then 1024 local histories, then the
+        // counter tables.
+        let hist = |v| crate::reload(&bp, TournamentPredictor::state, 1, v);
+        assert!(hist(1 << 16).is_none(), "local history must fit u16");
+        assert!(hist(u16::MAX.into()).is_some());
+        let ctr = |v| crate::reload(&bp, TournamentPredictor::state, 1 + 1024, v);
+        assert!(ctr(4).is_none(), "2-bit counter must be <= 3");
+        assert!(ctr(3).is_some());
+
+        let btb = Btb::new(16);
+        assert!(
+            crate::reload(&btb, Btb::state, 0, 2).is_none(),
+            "present is 0/1"
+        );
+        assert!(crate::reload(&btb, Btb::state, 0, 1).is_some());
+
+        let ras = Ras::new(8);
+        assert!(
+            crate::reload(&ras, Ras::state, 0, 8).is_none(),
+            "top < capacity"
+        );
+        assert!(crate::reload(&ras, Ras::state, 0, 7).is_some());
+        assert!(
+            crate::reload(&ras, Ras::state, 1, 9).is_none(),
+            "used <= capacity"
+        );
+        assert!(crate::reload(&ras, Ras::state, 1, 8).is_some());
     }
 }

@@ -4,6 +4,8 @@
 //! channel every attack in the paper transmits over. InvisiSpec-mode loads
 //! bypass installation (see `cpu.rs`).
 
+use evax_dram::state::Words;
+
 use crate::config::CacheConfig;
 
 /// Per-cache event counters, named after the gem5 statistics EVAX samples.
@@ -249,23 +251,23 @@ impl Cache {
         self.sets.iter().flatten().filter(|l| l.valid).count()
     }
 
-    /// Appends the full cache state (lines, LRU clock, in-flight MSHR
-    /// deadlines, statistics) to a snapshot word stream. Geometry is not
-    /// recorded — it is re-derived from the [`CacheConfig`] at restore, which
-    /// the snapshot header fingerprints.
-    pub(crate) fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.tick);
-        for set in &self.sets {
-            for line in set {
-                out.push(line.tag);
-                out.push(
-                    line.valid as u64 | (line.dirty as u64) << 1 | (line.prefetched as u64) << 2,
-                );
-                out.push(line.lru);
-            }
+    /// Visits the full cache state — lines in set-major order, LRU clock,
+    /// in-flight MSHR deadlines, statistics (see [`evax_dram::state`]).
+    /// Geometry is not recorded: it is re-derived from the [`CacheConfig`]
+    /// at restore, which the snapshot header fingerprints. A line's flag
+    /// word must be `<= 0b111`.
+    pub(crate) fn state(&mut self, w: &mut Words<'_>) -> Option<()> {
+        w.u64(&mut self.tick)?;
+        for line in self.sets.iter_mut().flatten() {
+            let flags =
+                line.valid as u64 | (line.dirty as u64) << 1 | (line.prefetched as u64) << 2;
+            w.u64(&mut line.tag)?;
+            let flags = w.below(flags, 0b1000)?;
+            w.u64(&mut line.lru)?;
+            (line.valid, line.dirty, line.prefetched) =
+                (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
         }
-        out.push(self.mshr_busy_until.len() as u64);
-        out.extend_from_slice(&self.mshr_busy_until);
+        w.seq(&mut self.mshr_busy_until, usize::MAX, Words::u64)?;
         let CacheStats {
             read_hits,
             read_misses,
@@ -279,8 +281,8 @@ impl Cache {
             mshr_full_events,
             prefetch_fills,
             prefetch_hits,
-        } = self.stats.clone();
-        out.extend_from_slice(&[
+        } = &mut self.stats;
+        w.u64s([
             read_hits,
             read_misses,
             write_hits,
@@ -293,54 +295,7 @@ impl Cache {
             mshr_full_events,
             prefetch_fills,
             prefetch_hits,
-        ]);
-    }
-
-    /// Restores state written by [`Cache::save_state`] into a cache built
-    /// from the same configuration. Returns `None` on a truncated or
-    /// malformed stream.
-    pub(crate) fn load_state(&mut self, w: &mut std::slice::Iter<'_, u64>) -> Option<()> {
-        self.tick = *w.next()?;
-        for set in &mut self.sets {
-            for line in set {
-                let tag = *w.next()?;
-                let flags = *w.next()?;
-                let lru = *w.next()?;
-                if flags > 0b111 {
-                    return None;
-                }
-                *line = Line {
-                    tag,
-                    valid: flags & 1 != 0,
-                    dirty: flags & 2 != 0,
-                    prefetched: flags & 4 != 0,
-                    lru,
-                };
-            }
-        }
-        let n = usize::try_from(*w.next()?).ok()?;
-        self.mshr_busy_until.clear();
-        for _ in 0..n {
-            self.mshr_busy_until.push(*w.next()?);
-        }
-        let s = &mut self.stats;
-        for field in [
-            &mut s.read_hits,
-            &mut s.read_misses,
-            &mut s.write_hits,
-            &mut s.write_misses,
-            &mut s.clean_evicts,
-            &mut s.writebacks,
-            &mut s.flushes,
-            &mut s.mshr_misses,
-            &mut s.mshr_miss_latency,
-            &mut s.mshr_full_events,
-            &mut s.prefetch_fills,
-            &mut s.prefetch_hits,
-        ] {
-            *field = *w.next()?;
-        }
-        Some(())
+        ])
     }
 }
 
@@ -462,5 +417,13 @@ mod tests {
         c.fill(0x300 + 2 * stride, false, false); // evict the written line eventually
         c.fill(0x300 + 3 * stride, false, false);
         assert!(c.stats().writebacks >= 1);
+    }
+
+    #[test]
+    fn line_flags_beyond_three_bits_fail_to_load() {
+        let c = small();
+        // Word 0 is the LRU clock; line 0 is (tag, flags, lru) at words 1..4.
+        assert!(crate::reload(&c, Cache::state, 2, 0b1000).is_none());
+        assert!(crate::reload(&c, Cache::state, 2, 0b111).is_some());
     }
 }

@@ -1,5 +1,7 @@
-//! Checkpoints: snapshot and restore of a quiesced core, and the state-word
-//! codec they serialize through.
+//! Checkpoints: snapshot and restore of a quiesced core, driven through the
+//! [`Words`] state codec.
+
+use evax_dram::state::Words;
 
 use super::{Cpu, SampledCursor};
 use crate::config::{CpuConfig, MitigationMode};
@@ -16,11 +18,9 @@ impl Cpu {
     /// exactly this core post-quiesce.
     pub fn snapshot(&mut self) -> Snapshot {
         self.quiesce();
-        let mut cpu_words = Vec::new();
-        self.save_state_words(&mut cpu_words);
         Snapshot {
             config_fingerprint: config_fingerprint(&self.cfg),
-            cpu_words,
+            cpu_words: save(|w| self.state(w)),
             cursor_words: None,
         }
     }
@@ -30,9 +30,8 @@ impl Cpu {
     /// [`Cpu::restore_with_cursor`].
     pub fn snapshot_with_cursor(&mut self, cursor: &SampledCursor) -> Snapshot {
         let mut snap = self.snapshot();
-        let mut cursor_words = Vec::new();
-        cursor.save_state(&mut cursor_words);
-        snap.cursor_words = Some(cursor_words);
+        let mut cursor = cursor.clone();
+        snap.cursor_words = Some(save(|w| cursor.state(w)));
         snap
     }
 
@@ -51,16 +50,13 @@ impl Cpu {
             });
         }
         let mut cpu = Cpu::new(cfg);
-        let mut w = snap.cpu_words.iter();
-        cpu.load_state_words(&mut w)
-            .ok_or(SnapshotError::Malformed {
-                what: "cpu state words",
-            })?;
-        if w.next().is_some() {
-            return Err(SnapshotError::Malformed {
-                what: "trailing cpu state words",
-            });
-        }
+        load(
+            &snap.cpu_words,
+            "cpu state words",
+            "trailing cpu state words",
+            |w| cpu.state(w),
+        )?;
+        cpu.quiesce();
         Ok(cpu)
     }
 
@@ -69,7 +65,8 @@ impl Cpu {
     ///
     /// # Errors
     /// As [`Cpu::restore`]; additionally `Malformed` when the snapshot has
-    /// no cursor section or the cursor payload is invalid.
+    /// no cursor section or the cursor payload is invalid (including a
+    /// counter width other than `dim_for(cfg)`).
     pub fn restore_with_cursor(
         cfg: CpuConfig,
         snap: &Snapshot,
@@ -78,113 +75,80 @@ impl Cpu {
         let cursor_words = snap.cursor_words.as_ref().ok_or(SnapshotError::Malformed {
             what: "snapshot has no cursor section",
         })?;
-        let mut w = cursor_words.iter();
-        let expected_dim = crate::hpc::dim_for(cpu.config());
-        let cursor =
-            SampledCursor::load_state(&mut w, expected_dim).ok_or(SnapshotError::Malformed {
-                what: "cursor state words",
-            })?;
-        if w.next().is_some() {
-            return Err(SnapshotError::Malformed {
-                what: "trailing cursor state words",
-            });
-        }
+        let mut cursor = SampledCursor::blank(vec![0.0; crate::hpc::dim_for(cpu.config())]);
+        load(
+            cursor_words,
+            "cursor state words",
+            "trailing cursor state words",
+            |w| cursor.state(w),
+        )?;
         Ok((cpu, cursor))
     }
 
-    /// Serializes the quiesced core into a word stream: scalars, then each
-    /// component in a fixed order. `sched_counters` is intentionally not
-    /// serialized — it is pure observability (never feeds back into
-    /// scheduling) and restarts from zero in a restored core.
-    fn save_state_words(&self, out: &mut Vec<u64>) {
-        out.extend_from_slice(&[
-            self.cycle,
-            self.next_seq,
-            self.arch_pc as u64,
-            self.halted as u64,
-            self.committed_since_sample,
-            self.rng_state,
-            self.rdrand_busy_until,
-            mitigation_index(self.mitigation),
-        ]);
-        out.extend_from_slice(&self.arch_regs);
-        out.push(self.arch_ret_stack.len() as u64);
-        for &a in &self.arch_ret_stack {
-            out.push(a as u64);
+    /// Visits the quiesced core: scalars, then each component in a fixed
+    /// order (see [`evax_dram::state`]). `sched_counters` is intentionally
+    /// not serialized — it is pure observability (never feeds back into
+    /// scheduling) and restarts from zero in a restored core. A loaded
+    /// `halted` must be 0/1, the mitigation index known, and a stride
+    /// confidence `<= 3`; the caller re-quiesces the front end after a load.
+    fn state(&mut self, w: &mut Words<'_>) -> Option<()> {
+        w.u64s([&mut self.cycle, &mut self.next_seq])?;
+        w.usize(&mut self.arch_pc)?;
+        w.flag(&mut self.halted)?;
+        w.u64s([
+            &mut self.committed_since_sample,
+            &mut self.rng_state,
+            &mut self.rdrand_busy_until,
+        ])?;
+        let mut mitigation = mitigation_index(self.mitigation);
+        w.u64(&mut mitigation)?;
+        self.mitigation = mitigation_from_index(mitigation)?;
+        w.u64s(&mut self.arch_regs)?;
+        w.seq(&mut self.arch_ret_stack, usize::MAX, Words::usize)?;
+        for (last, stride, conf) in &mut self.stride_table {
+            let mut stride_bits = *stride as u64;
+            w.u64s([last, &mut stride_bits])?;
+            *stride = stride_bits as i64;
+            *conf = w.below((*conf).into(), 4)? as u8;
         }
-        for &(last, stride, conf) in &self.stride_table {
-            out.extend_from_slice(&[last, stride as u64, conf as u64]);
-        }
-        self.stats.save_state(out);
-        self.bp.save_state(out);
-        self.btb.save_state(out);
-        self.ras.save_state(out);
-        self.icache.save_state(out);
-        self.dcache.save_state(out);
-        self.l2.save_state(out);
-        self.itlb.save_state(out);
-        self.dtlb.save_state(out);
-        self.dram.save_state(out);
-        self.mem.save_state(out);
+        self.stats.state(w)?;
+        self.bp.state(w)?;
+        self.btb.state(w)?;
+        self.ras.state(w)?;
+        self.icache.state(w)?;
+        self.dcache.state(w)?;
+        self.l2.state(w)?;
+        self.itlb.state(w)?;
+        self.dtlb.state(w)?;
+        self.dram.state(w)?;
+        self.mem.state(w)?;
         // Device words only exist when the subsystem is enabled; the config
         // fingerprint already separates enabled and disabled snapshots.
-        if let Some(dev) = self.dev.as_deref() {
-            dev.save_state(out);
-        }
+        self.dev.as_deref_mut().map_or(Some(()), |dev| dev.state(w))
     }
+}
 
-    /// Restores state written by `save_state_words` into a freshly
-    /// constructed core, then re-quiesces the front end at the restored
-    /// architectural pc. Returns `None` on a truncated or malformed stream.
-    fn load_state_words(&mut self, w: &mut std::slice::Iter<'_, u64>) -> Option<()> {
-        self.cycle = *w.next()?;
-        self.next_seq = *w.next()?;
-        let arch_pc = usize::try_from(*w.next()?).ok()?;
-        let halted = match *w.next()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        self.committed_since_sample = *w.next()?;
-        self.rng_state = *w.next()?;
-        self.rdrand_busy_until = *w.next()?;
-        self.mitigation = mitigation_from_index(*w.next()?)?;
-        for r in &mut self.arch_regs {
-            *r = *w.next()?;
-        }
-        let n = usize::try_from(*w.next()?).ok()?;
-        self.arch_ret_stack.clear();
-        for _ in 0..n {
-            self.arch_ret_stack.push(usize::try_from(*w.next()?).ok()?);
-        }
-        for e in &mut self.stride_table {
-            let last = *w.next()?;
-            let stride = *w.next()? as i64;
-            let conf = u8::try_from(*w.next()?).ok()?;
-            if conf > 3 {
-                return None;
-            }
-            *e = (last, stride, conf);
-        }
-        self.stats.load_state(w)?;
-        self.bp.load_state(w)?;
-        self.btb.load_state(w)?;
-        self.ras.load_state(w)?;
-        self.icache.load_state(w)?;
-        self.dcache.load_state(w)?;
-        self.l2.load_state(w)?;
-        self.itlb.load_state(w)?;
-        self.dtlb.load_state(w)?;
-        self.dram.load_state(w)?;
-        self.mem.load_state(w)?;
-        if let Some(dev) = self.dev.as_deref_mut() {
-            dev.load_state(w)?;
-        }
-        self.arch_pc = arch_pc;
-        self.reset_front_end_at(arch_pc);
-        self.halted = halted;
-        Some(())
+/// Saves one snapshot section through `state`.
+fn save(state: impl FnOnce(&mut Words<'_>) -> Option<()>) -> Vec<u64> {
+    let mut words = Vec::new();
+    state(&mut Words::Save(&mut words)).expect("a live core's state is in range");
+    words
+}
+
+/// Loads one snapshot section through `state`: a failed visit is
+/// `Malformed { what }`, a word left over is `Malformed { what: trailing }`.
+fn load(
+    words: &[u64],
+    what: &'static str,
+    trailing: &'static str,
+    state: impl FnOnce(&mut Words<'_>) -> Option<()>,
+) -> Result<(), SnapshotError> {
+    let mut w = Words::Load(words.iter());
+    state(&mut w).ok_or(SnapshotError::Malformed { what })?;
+    if w.remaining() > 0 {
+        return Err(SnapshotError::Malformed { what: trailing });
     }
+    Ok(())
 }
 
 /// Stable on-disk index of a [`MitigationMode`] (snapshot encoding).
@@ -208,4 +172,77 @@ fn mitigation_from_index(i: u64) -> Option<MitigationMode> {
         4 => MitigationMode::InvisiSpecFuturistic,
         _ => return None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hpc::dim_for;
+
+    /// Restores `snap` with cpu word `at` replaced by `v`.
+    fn restore_with(snap: &Snapshot, at: usize, v: u64) -> Result<Cpu, SnapshotError> {
+        let mut snap = snap.clone();
+        snap.cpu_words[at] = v;
+        Cpu::restore(CpuConfig::default(), &snap)
+    }
+
+    #[test]
+    fn out_of_range_core_words_are_malformed() {
+        let snap = Cpu::new(CpuConfig::default()).snapshot();
+        let malformed = Err(SnapshotError::Malformed {
+            what: "cpu state words",
+        });
+        // Scalars: cycle, next_seq, arch_pc, halted (3), committed, rng,
+        // rdrand, mitigation (7); then 32 registers, the return-stack length
+        // (empty on a fresh core) and the stride table's (last, stride,
+        // confidence) triples.
+        assert_eq!(restore_with(&snap, 3, 2).map(drop), malformed);
+        assert_eq!(restore_with(&snap, 7, 5).map(drop), malformed);
+        let first_conf = 8 + 32 + 1 + 2;
+        assert_eq!(restore_with(&snap, first_conf, 4).map(drop), malformed);
+        assert!(restore_with(&snap, first_conf, 3).is_ok());
+        assert!(restore_with(&snap, 7, mitigation_index(MitigationMode::FenceSpectre)).is_ok());
+
+        let mut trailing = snap.clone();
+        trailing.cpu_words.push(0);
+        assert_eq!(
+            Cpu::restore(CpuConfig::default(), &trailing).map(drop),
+            Err(SnapshotError::Malformed {
+                what: "trailing cpu state words",
+            })
+        );
+    }
+
+    #[test]
+    fn out_of_range_cursor_words_are_malformed() {
+        let cfg = CpuConfig::default();
+        let mut cpu = Cpu::new(cfg.clone());
+        let cursor = cpu.begin_sampled(1_000, 100);
+        let snap = cpu.snapshot_with_cursor(&cursor);
+        let restore_with = |at: usize, v: u64| {
+            let mut snap = snap.clone();
+            let words = snap.cursor_words.as_mut().expect("cursor section");
+            match words.get_mut(at) {
+                Some(w) => *w = v,
+                None => words.push(v),
+            }
+            Cpu::restore_with_cursor(cfg.clone(), &snap).map(drop)
+        };
+        let malformed = Err(SnapshotError::Malformed {
+            what: "cursor state words",
+        });
+        // Eight counters, then `done` (8) and the counter width (9).
+        assert_eq!(restore_with(8, 2), malformed);
+        let dim = dim_for(&cfg) as u64;
+        assert_eq!(restore_with(9, dim + 1), malformed);
+        assert_eq!(restore_with(9, dim - 1), malformed);
+        assert_eq!(restore_with(8, 1), Ok(()));
+        let end = snap.cursor_words.as_ref().map_or(0, Vec::len);
+        assert_eq!(
+            restore_with(end, 0),
+            Err(SnapshotError::Malformed {
+                what: "trailing cursor state words",
+            })
+        );
+    }
 }

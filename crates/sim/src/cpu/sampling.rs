@@ -2,6 +2,8 @@
 //! interval-sampling [`SampleSchedule`], and the `run*` entry points built
 //! on it.
 
+use evax_dram::state::Words;
+
 use super::{Cpu, RunResult};
 use crate::config::MitigationMode;
 use crate::isa::Program;
@@ -169,68 +171,47 @@ impl SampledCursor {
         }
     }
 
-    /// Appends the cursor's state to a snapshot word stream (`f64` deltas
-    /// via `to_bits`, so the round trip is bitwise).
-    pub(super) fn save_state(&self, out: &mut Vec<u64>) {
-        out.extend_from_slice(&[
-            self.start_committed,
-            self.start_cycle,
-            self.cycle_budget,
-            self.max_instrs,
-            self.sample_interval,
-            self.warmup_instrs,
-            self.detail_instrs,
-            self.detail_left,
-            self.done as u64,
-        ]);
-        out.push(self.prev_vec.len() as u64);
-        for &v in &self.prev_vec {
-            out.push(v.to_bits());
+    /// A zeroed cursor over the baseline `prev_vec` (whose length is the
+    /// counter width), for [`SampledCursor::state`] to load into.
+    pub(super) fn blank(prev_vec: Vec<f64>) -> SampledCursor {
+        SampledCursor {
+            start_committed: 0,
+            start_cycle: 0,
+            cycle_budget: 0,
+            max_instrs: 0,
+            sample_interval: 0,
+            warmup_instrs: 0,
+            detail_instrs: 0,
+            detail_left: 0,
+            prev_vec,
+            done: false,
         }
     }
 
-    /// Rebuilds a cursor from a snapshot word stream. `expected_dim` is the
-    /// counter width of the restoring configuration
-    /// (`crate::hpc::dim_for`); a cursor recorded against a different
-    /// schema is malformed. Returns `None` on a truncated or malformed
-    /// stream.
-    pub(super) fn load_state(
-        w: &mut std::slice::Iter<'_, u64>,
-        expected_dim: usize,
-    ) -> Option<SampledCursor> {
-        let start_committed = *w.next()?;
-        let start_cycle = *w.next()?;
-        let cycle_budget = *w.next()?;
-        let max_instrs = *w.next()?;
-        let sample_interval = *w.next()?;
-        let warmup_instrs = *w.next()?;
-        let detail_instrs = *w.next()?;
-        let detail_left = *w.next()?;
-        let done = match *w.next()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let n = usize::try_from(*w.next()?).ok()?;
-        if n != expected_dim {
-            return None;
+    /// Visits the cursor's state, `f64` deltas via `to_bits` so the round
+    /// trip is bitwise (see [`evax_dram::state`]). The counter width is
+    /// fixed by `prev_vec`: a cursor recorded against a different schema
+    /// fails to load.
+    pub(super) fn state(&mut self, w: &mut Words<'_>) -> Option<()> {
+        w.u64s([
+            &mut self.start_committed,
+            &mut self.start_cycle,
+            &mut self.cycle_budget,
+            &mut self.max_instrs,
+            &mut self.sample_interval,
+            &mut self.warmup_instrs,
+            &mut self.detail_instrs,
+            &mut self.detail_left,
+        ])?;
+        w.flag(&mut self.done)?;
+        let dim = self.prev_vec.len();
+        w.prefix(dim, dim).filter(|&n| n == dim)?;
+        for v in &mut self.prev_vec {
+            let mut bits = v.to_bits();
+            w.u64(&mut bits)?;
+            *v = f64::from_bits(bits);
         }
-        let mut prev_vec = Vec::with_capacity(n);
-        for _ in 0..n {
-            prev_vec.push(f64::from_bits(*w.next()?));
-        }
-        Some(SampledCursor {
-            start_committed,
-            start_cycle,
-            cycle_budget,
-            max_instrs,
-            sample_interval,
-            warmup_instrs,
-            detail_instrs,
-            detail_left,
-            prev_vec,
-            done,
-        })
+        Some(())
     }
 }
 
@@ -313,9 +294,7 @@ impl Cpu {
             sample_interval,
             warmup_instrs: schedule.warmup_instrs,
             detail_instrs: schedule.detail_instrs,
-            detail_left: 0,
-            prev_vec,
-            done: false,
+            ..SampledCursor::blank(prev_vec)
         }
     }
 

@@ -30,6 +30,8 @@
 //!   after the energy tail, tagged with the `Device` modality in
 //!   [`crate::schema::FeatureSchema`].
 
+use evax_dram::state::Words;
+
 /// Number of interrupt vectors the controller dispatches (vector 0 = timer,
 /// vector 1 = DMA completion).
 pub const NUM_IRQ_VECTORS: usize = 2;
@@ -325,57 +327,43 @@ impl DeviceState {
         };
     }
 
-    /// Appends the device state to a snapshot word stream.
-    pub(crate) fn save_state(&self, out: &mut Vec<u64>) {
-        out.extend_from_slice(&[
-            self.timer_next_fire,
-            self.dma_next_burst,
-            self.dma_cursor,
-            self.dma_bursts_since_irq,
-            self.irq_pending,
-            self.irq_in_service as u64,
-            self.irq_return_pc as u64,
-            self.stats.timer_fires,
-            self.stats.irq_raised,
-            self.stats.irq_taken,
-            self.stats.irq_dropped,
-            self.stats.irq_returns,
-            self.stats.irq_squashed_insts,
-            self.stats.irq_pending_cycles,
-            self.stats.dma_bursts,
-            self.stats.dma_lines,
-            self.stats.dma_port_steal_cycles,
-        ]);
-    }
-
-    /// Restores state written by [`DeviceState::save_state`]. Returns
-    /// `None` on a truncated or structurally invalid stream.
-    pub(crate) fn load_state(&mut self, w: &mut std::slice::Iter<'_, u64>) -> Option<()> {
-        self.timer_next_fire = *w.next()?;
-        self.dma_next_burst = *w.next()?;
-        self.dma_cursor = *w.next()?;
-        self.dma_bursts_since_irq = *w.next()?;
-        self.irq_pending = *w.next()?;
-        if self.irq_pending >> NUM_IRQ_VECTORS != 0 {
-            return None;
-        }
-        self.irq_in_service = match *w.next()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        self.irq_return_pc = usize::try_from(*w.next()?).ok()?;
-        self.stats.timer_fires = *w.next()?;
-        self.stats.irq_raised = *w.next()?;
-        self.stats.irq_taken = *w.next()?;
-        self.stats.irq_dropped = *w.next()?;
-        self.stats.irq_returns = *w.next()?;
-        self.stats.irq_squashed_insts = *w.next()?;
-        self.stats.irq_pending_cycles = *w.next()?;
-        self.stats.dma_bursts = *w.next()?;
-        self.stats.dma_lines = *w.next()?;
-        self.stats.dma_port_steal_cycles = *w.next()?;
-        Some(())
+    /// Visits the device state (see [`evax_dram::state`]). A loaded
+    /// pending mask must fit [`NUM_IRQ_VECTORS`] bits and the in-service
+    /// word must be 0/1.
+    pub(crate) fn state(&mut self, w: &mut Words<'_>) -> Option<()> {
+        w.u64s([
+            &mut self.timer_next_fire,
+            &mut self.dma_next_burst,
+            &mut self.dma_cursor,
+            &mut self.dma_bursts_since_irq,
+        ])?;
+        self.irq_pending = w.below(self.irq_pending, 1 << NUM_IRQ_VECTORS)?;
+        w.flag(&mut self.irq_in_service)?;
+        w.usize(&mut self.irq_return_pc)?;
+        let DeviceStats {
+            timer_fires,
+            irq_raised,
+            irq_taken,
+            irq_dropped,
+            irq_returns,
+            irq_squashed_insts,
+            irq_pending_cycles,
+            dma_bursts,
+            dma_lines,
+            dma_port_steal_cycles,
+        } = &mut self.stats;
+        w.u64s([
+            timer_fires,
+            irq_raised,
+            irq_taken,
+            irq_dropped,
+            irq_returns,
+            irq_squashed_insts,
+            irq_pending_cycles,
+            dma_bursts,
+            dma_lines,
+            dma_port_steal_cycles,
+        ])
     }
 }
 
@@ -472,9 +460,11 @@ mod tests {
         s.stats.dma_bursts = 7;
         s.stats.irq_taken = 3;
         let mut words = Vec::new();
-        s.save_state(&mut words);
+        s.clone()
+            .state(&mut Words::Save(&mut words))
+            .expect("saves");
         let mut other = DeviceState::new(&cfg);
-        other.load_state(&mut words.iter()).expect("loads");
+        other.state(&mut Words::Load(words.iter())).expect("loads");
         assert_eq!(other, s);
     }
 
@@ -494,5 +484,21 @@ mod tests {
         assert_eq!(s.irq_pending, 0);
         assert!(!s.irq_in_service);
         assert_eq!(s.timer_next_fire, 5_100);
+    }
+
+    #[test]
+    fn out_of_range_words_fail_to_load() {
+        let cfg = DeviceConfig::builder()
+            .enabled(true)
+            .timer_period(200)
+            .build()
+            .unwrap();
+        let s = DeviceState::new(&cfg);
+        // Words 4 and 5 are the pending mask and the in-service flag.
+        let pending = |v| crate::reload(&s, DeviceState::state, 4, v);
+        assert!(pending(1 << NUM_IRQ_VECTORS).is_none());
+        assert!(pending((1 << NUM_IRQ_VECTORS) - 1).is_some());
+        assert!(crate::reload(&s, DeviceState::state, 5, 2).is_none());
+        assert!(crate::reload(&s, DeviceState::state, 5, 1).is_some());
     }
 }

@@ -73,3 +73,21 @@ pub use isa::{Program, ProgramBuilder};
 pub use schema::{FeatureSchema, Modality};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::PipelineStats;
+
+#[cfg(test)]
+/// Saves `c` through `state`, overwrites word `at` with `v`, and loads the
+/// words into a copy of `c`. `None` means the corrupt word was rejected.
+pub(crate) fn reload<T: Clone>(
+    c: &T,
+    state: fn(&mut T, &mut evax_dram::state::Words<'_>) -> Option<()>,
+    at: usize,
+    v: u64,
+) -> Option<T> {
+    use evax_dram::state::Words;
+    let mut words = Vec::new();
+    state(&mut c.clone(), &mut Words::Save(&mut words)).expect("saves");
+    words[at] = v;
+    let mut back = c.clone();
+    state(&mut back, &mut Words::Load(words.iter()))?;
+    Some(back)
+}

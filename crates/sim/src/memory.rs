@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+use evax_dram::state::Words;
 use evax_dram::BitFlip;
 
 const PAGE_SIZE: u64 = 4096;
@@ -182,40 +183,30 @@ impl Memory {
         addr
     }
 
-    /// Appends every materialized page (sorted by page index, so the byte
-    /// stream is independent of `HashMap` iteration order) to a snapshot
-    /// word stream. Untouched pages are omitted — they regenerate from the
-    /// deterministic background pattern on demand.
-    pub(crate) fn save_state(&self, out: &mut Vec<u64>) {
-        let mut indices: Vec<(u64, u32)> = self.index.iter().map(|(&p, &i)| (p, i)).collect();
-        indices.sort_unstable();
-        out.push(indices.len() as u64);
-        for (page, idx) in indices {
-            out.push(page);
-            for chunk in self.pages[idx as usize].chunks_exact(8) {
-                let mut word = [0u8; 8];
-                word.copy_from_slice(chunk);
-                out.push(u64::from_le_bytes(word));
-            }
+    /// Visits every materialized page, sorted by page index so the words do
+    /// not depend on `HashMap` iteration order (see [`evax_dram::state`]).
+    /// Untouched pages are omitted — they regenerate from the deterministic
+    /// background pattern on demand. Loading replaces all pages.
+    pub(crate) fn state(&mut self, w: &mut Words<'_>) -> Option<()> {
+        let mut pages: Vec<u64> = self.index.keys().copied().collect();
+        pages.sort_unstable();
+        let n = w.prefix(pages.len(), usize::MAX)?;
+        if w.loading() {
+            *self = Memory::new(self.kernel_base);
+            pages = vec![0; n];
         }
-    }
-
-    /// Restores state written by [`Memory::save_state`], replacing all
-    /// materialized pages. Returns `None` on a truncated stream.
-    pub(crate) fn load_state(&mut self, w: &mut std::slice::Iter<'_, u64>) -> Option<()> {
-        let n = usize::try_from(*w.next()?).ok()?;
-        self.pages.clear();
-        self.index.clear();
-        self.last = (NO_PAGE, 0);
-        for _ in 0..n {
-            let page = *w.next()?;
-            let mut bytes = vec![0u8; PAGE_SIZE as usize];
-            for chunk in bytes.chunks_exact_mut(8) {
-                chunk.copy_from_slice(&w.next()?.to_le_bytes());
+        for mut page in pages {
+            w.u64(&mut page)?;
+            let arena = &mut self.pages;
+            let idx = *self.index.entry(page).or_insert_with(|| {
+                arena.push(vec![0; PAGE_SIZE as usize].into());
+                u32::try_from(arena.len() - 1).expect("page arena overflow")
+            });
+            for chunk in self.pages[idx as usize].chunks_exact_mut(8) {
+                let mut word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+                w.u64(&mut word)?;
+                chunk.copy_from_slice(&word.to_le_bytes());
             }
-            let idx = u32::try_from(self.pages.len()).ok()?;
-            self.pages.push(bytes.into_boxed_slice());
-            self.index.insert(page, idx);
         }
         Some(())
     }
@@ -268,5 +259,19 @@ mod tests {
         let addr = m.apply_flip(flip, |_, _| 0);
         assert_eq!(addr, 100);
         assert_eq!(m.read_u8(100), 0b0000_1000);
+    }
+
+    #[test]
+    fn page_count_beyond_the_stream_fails_to_load() {
+        let mut m = Memory::new(u64::MAX);
+        m.write_u8(0x234, 7);
+        // Word 0 is the page count, word 1 the first page's index.
+        let back = crate::reload(&m, Memory::state, 1, 1).expect("page index rewritten");
+        assert_eq!(back.read_u8(0x1234), 7, "page 1 now holds the bytes");
+        assert!(crate::reload(&m, Memory::state, 0, u64::MAX).is_none());
+        assert!(
+            crate::reload(&m, Memory::state, 0, 2).is_none(),
+            "truncated"
+        );
     }
 }

@@ -21,6 +21,7 @@ use std::borrow::Cow;
 
 use crate::config::CpuConfig;
 use crate::energy::ENERGY_NAMES;
+use crate::snapshot::Fnv1a;
 
 /// Sensing modality of one schema column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -72,22 +73,11 @@ pub struct FeatureSchema {
 /// FNV-1a over the `(name, modality)` sequence with explicit separators,
 /// so `["ab","c"]` and `["a","bc"]` fingerprint differently.
 fn fingerprint_of(names: &[Cow<'static, str>], modalities: &[Modality]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    };
+    let mut h = Fnv1a::default();
     for (name, m) in names.iter().zip(modalities) {
-        for &b in name.as_bytes() {
-            eat(b);
-        }
-        eat(0x1f);
-        eat(m.tag() as u8);
-        eat(0x1e);
+        h.bytes(name.as_bytes()).bytes(&[0x1f, m.tag() as u8, 0x1e]);
     }
-    h
+    h.finish()
 }
 
 impl FeatureSchema {

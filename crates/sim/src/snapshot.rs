@@ -28,19 +28,36 @@ use crate::config::CpuConfig;
 /// Leading magic line identifying the container format and version.
 pub const SNAPSHOT_MAGIC: &[u8] = b"evax-snapshot v1\n";
 
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Incremental 64-bit FNV-1a: the container's checksum, the config and
+/// schema fingerprints, and the bench verdict digests. Deterministic and
+/// dependency-free; not a cryptographic integrity check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
 
-/// FNV-1a over a byte slice — the container's checksum and the config
-/// fingerprint hash. Deterministic, dependency-free, and plenty for
-/// corruption detection (this is not a cryptographic integrity check).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET_BASIS;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    /// Feeds `bytes` in order.
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    /// Feeds `v` as eight little-endian bytes.
+    pub fn word(&mut self, v: u64) -> &mut Self {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Fingerprint of a [`CpuConfig`], used to reject restoring a snapshot into
@@ -48,7 +65,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// every field (including nested cache/DRAM geometry) without a bespoke
 /// serializer.
 pub fn config_fingerprint(cfg: &CpuConfig) -> u64 {
-    fnv1a(format!("{cfg:?}").as_bytes())
+    Fnv1a::default()
+        .bytes(format!("{cfg:?}").as_bytes())
+        .finish()
 }
 
 /// Why a snapshot failed to parse or apply.
@@ -149,7 +168,7 @@ impl Snapshot {
                 }
             }
         }
-        let checksum = fnv1a(&out);
+        let checksum = Fnv1a::default().bytes(&out).finish();
         word(checksum, &mut out);
         out
     }
@@ -172,7 +191,7 @@ impl Snapshot {
         }
         let (content, tail) = body.split_at(body.len() - 8);
         let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        let computed = fnv1a(&bytes[..bytes.len() - 8]);
+        let computed = Fnv1a::default().bytes(&bytes[..bytes.len() - 8]).finish();
         if stored != computed {
             return Err(SnapshotError::Checksum {
                 expected: computed,

@@ -5,6 +5,8 @@
 //! The flattened HPC feature vector (pipeline + caches + TLBs + DRAM) is
 //! assembled in `hpc.rs`.
 
+use evax_dram::state::Words;
+
 /// Counters maintained by the out-of-order core.
 ///
 /// Field names follow the gem5 statistics they model; the paper's Table I
@@ -241,21 +243,12 @@ macro_rules! pipeline_stats_fields {
 }
 
 impl PipelineStats {
-    /// Appends every counter to the snapshot word stream, in field order.
-    pub(crate) fn save_state(&self, out: &mut Vec<u64>) {
-        macro_rules! push {
-            ($($f:ident),* $(,)?) => { $( out.push(self.$f); )* };
+    /// Visits every counter, in field order (see [`evax_dram::state`]).
+    pub(crate) fn state(&mut self, w: &mut Words<'_>) -> Option<()> {
+        macro_rules! visit {
+            ($($f:ident),* $(,)?) => { w.u64s([$(&mut self.$f),*])? };
         }
-        pipeline_stats_fields!(push);
-    }
-
-    /// Reads every counter back from a snapshot word stream. Returns `None`
-    /// if the stream runs out.
-    pub(crate) fn load_state(&mut self, w: &mut std::slice::Iter<'_, u64>) -> Option<()> {
-        macro_rules! pull {
-            ($($f:ident),* $(,)?) => { $( self.$f = *w.next()?; )* };
-        }
-        pipeline_stats_fields!(pull);
+        pipeline_stats_fields!(visit);
         Some(())
     }
 
@@ -307,13 +300,16 @@ mod tests {
             ..Default::default()
         };
         let mut words = Vec::new();
-        s.save_state(&mut words);
+        s.clone()
+            .state(&mut Words::Save(&mut words))
+            .expect("saves");
         let mut back = PipelineStats::default();
-        back.load_state(&mut words.iter()).expect("enough words");
+        back.state(&mut Words::Load(words.iter()))
+            .expect("enough words");
         assert_eq!(back, s);
         // Truncated streams are rejected, not half-applied silently.
         assert!(back
-            .load_state(&mut words[..words.len() - 1].iter())
+            .state(&mut Words::Load(words[..words.len() - 1].iter()))
             .is_none());
     }
 

@@ -1,5 +1,7 @@
 //! Translation lookaside buffers (fully associative, LRU).
 
+use evax_dram::state::Words;
+
 /// TLB statistics (`dtlb.rdMisses` and friends).
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct TlbStats {
@@ -95,50 +97,22 @@ impl Tlb {
         self.entries.clear();
     }
 
-    /// Appends the TLB state (entries with LRU stamps, clock, statistics) to
-    /// a snapshot word stream. Capacity comes from construction.
-    pub(crate) fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.tick);
-        out.push(self.entries.len() as u64);
-        for &(page, lru) in &self.entries {
-            out.push(page);
-            out.push(lru);
-        }
+    /// Visits the TLB state — clock, entries with LRU stamps, statistics
+    /// (see [`evax_dram::state`]). Capacity comes from construction; a
+    /// loaded entry count must not exceed it.
+    pub(crate) fn state(&mut self, w: &mut Words<'_>) -> Option<()> {
+        w.u64(&mut self.tick)?;
+        w.seq(&mut self.entries, self.capacity, |w, (page, lru)| {
+            w.u64s([page, lru])
+        })?;
         let TlbStats {
             rd_hits,
             rd_misses,
             wr_hits,
             wr_misses,
             evictions,
-        } = self.stats.clone();
-        out.extend_from_slice(&[rd_hits, rd_misses, wr_hits, wr_misses, evictions]);
-    }
-
-    /// Restores state written by [`Tlb::save_state`]. Returns `None` on a
-    /// truncated stream or an entry count beyond this TLB's capacity.
-    pub(crate) fn load_state(&mut self, w: &mut std::slice::Iter<'_, u64>) -> Option<()> {
-        self.tick = *w.next()?;
-        let n = usize::try_from(*w.next()?).ok()?;
-        if n > self.capacity {
-            return None;
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            let page = *w.next()?;
-            let lru = *w.next()?;
-            self.entries.push((page, lru));
-        }
-        let s = &mut self.stats;
-        for field in [
-            &mut s.rd_hits,
-            &mut s.rd_misses,
-            &mut s.wr_hits,
-            &mut s.wr_misses,
-            &mut s.evictions,
-        ] {
-            *field = *w.next()?;
-        }
-        Some(())
+        } = &mut self.stats;
+        w.u64s([rd_hits, rd_misses, wr_hits, wr_misses, evictions])
     }
 }
 
@@ -183,5 +157,14 @@ mod tests {
         t.access(0x1000, false);
         t.flush();
         assert!(!t.contains(0x1000));
+    }
+
+    #[test]
+    fn entry_count_beyond_capacity_fails_to_load() {
+        let mut t = Tlb::new(2);
+        t.access(0x1000, false);
+        // Word 0 is the clock, word 1 the entry count.
+        assert!(crate::reload(&t, Tlb::state, 1, 3).is_none());
+        assert!(crate::reload(&t, Tlb::state, 1, 0).is_some());
     }
 }
