@@ -358,7 +358,7 @@ pub fn generate_evasive_programs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use evax_sim::{Cpu, CpuConfig, HPC_BASE_DIM};
+    use evax_sim::{CpuConfig, HPC_BASE_DIM};
 
     fn fake_weights(heavy: &str) -> Vec<f32> {
         FeatureSchema::baseline()
@@ -396,9 +396,7 @@ mod tests {
         let weights = fake_weights("l2");
         for strategy in EVASION_STRATEGIES {
             for (program, _class) in generate_evasive_programs(strategy, 4, &weights, 2, 17) {
-                let mut cpu = Cpu::new(CpuConfig::default());
-                cpu.memory_mut()
-                    .write_u64(crate::mds::KERNEL_SECRET_ADDR, 5);
+                let mut cpu = crate::tenant_core(&CpuConfig::default());
                 let res = cpu.run(&program, 400_000);
                 assert!(res.halted, "{strategy}: {} did not halt", program.name());
             }

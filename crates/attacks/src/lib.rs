@@ -55,6 +55,7 @@ pub use evasion::{
     build_evasive_attack, evasive_params, generate_evasive_programs, EvasionStrategy,
     WeightProfile, EVASION_STRATEGIES,
 };
+pub use mds::tenant_core;
 pub use registry::{
     build_attack, build_benign, AttackClass, BenignKind, ATTACK_CLASSES, BENIGN_KINDS,
 };

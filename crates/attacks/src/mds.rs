@@ -2,14 +2,24 @@
 //! three Medusa variants (paper §II, §VII).
 
 use evax_sim::isa::{AluOp, Program, ProgramBuilder};
+use evax_sim::{Cpu, CpuConfig};
 use rand::Rng;
 
 use crate::common::{emit_decoys, emit_delay, emit_loop, layout, regs, KernelParams};
 
 /// The kernel-space address kernels read from. The harness (or the kernel's
 /// own setup phase, which stands in for the victim OS) plants the secret
-/// here via `Cpu::memory_mut()`.
+/// here; [`tenant_core`] builds a core with it planted.
 pub const KERNEL_SECRET_ADDR: u64 = 0xFFFF_0000_0000;
+
+/// A fresh core with the victim OS's kernel secret (5) planted at
+/// [`KERNEL_SECRET_ADDR`]: the tenant every kernel in this crate expects to
+/// run on.
+pub fn tenant_core(cfg: &CpuConfig) -> Cpu {
+    let mut cpu = Cpu::new(cfg.clone());
+    cpu.memory_mut().write_u64(KERNEL_SECRET_ADDR, 5);
+    cpu
+}
 
 /// Meltdown: prefetch the kernel line (no fault), transiently read the
 /// privileged secret, transmit through the probe array, catch the fault and
@@ -209,13 +219,10 @@ pub fn medusa(variant: MedusaVariant, p: &KernelParams, rng: &mut impl Rng) -> P
 #[cfg(test)]
 mod tests {
     use super::*;
-    use evax_sim::{Cpu, CpuConfig};
     use rand::SeedableRng;
 
     fn run(p: &Program) -> Cpu {
-        let mut cpu = Cpu::new(CpuConfig::default());
-        // The harness stands in for the OS: plant a kernel secret.
-        cpu.memory_mut().write_u64(KERNEL_SECRET_ADDR, 5);
+        let mut cpu = tenant_core(&CpuConfig::default());
         let res = cpu.run(p, 500_000);
         assert!(res.halted, "kernel {} must halt", p.name());
         cpu

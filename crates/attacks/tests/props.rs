@@ -3,7 +3,7 @@
 //! fuzzing tools in `evax-core` rely on.
 
 use evax_attacks::{build_attack, KernelParams, ATTACK_CLASSES};
-use evax_sim::{Cpu, CpuConfig};
+use evax_sim::CpuConfig;
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -41,8 +41,7 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(rng_seed);
         let program = build_attack(class, &p, &mut rng);
         prop_assert!(!program.is_empty());
-        let mut cpu = Cpu::new(CpuConfig::default());
-        cpu.memory_mut().write_u64(evax_attacks::mds::KERNEL_SECRET_ADDR, 5);
+        let mut cpu = evax_attacks::tenant_core(&CpuConfig::default());
         let res = cpu.run(&program, 400_000);
         prop_assert!(
             res.halted || res.committed_instructions >= 400_000,

@@ -10,7 +10,7 @@
 use evax_attacks::benign::Scale;
 use evax_attacks::{build_attack, build_benign, KernelParams, ATTACK_CLASSES, BENIGN_KINDS};
 use evax_sim::isa::Program;
-use evax_sim::{Cpu, CpuConfig, SchedulerKind};
+use evax_sim::{CpuConfig, SchedulerKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -78,9 +78,7 @@ fn run_mix(mix: &[Program], scheduler: SchedulerKind, max_instrs: u64) -> (u64, 
     timed(|| {
         let mut committed = 0u64;
         for program in mix {
-            let mut cpu = Cpu::new(cfg.clone());
-            cpu.memory_mut()
-                .write_u64(evax_attacks::mds::KERNEL_SECRET_ADDR, 5);
+            let mut cpu = evax_attacks::tenant_core(&cfg);
             committed += cpu.run(program, max_instrs).committed_instructions;
         }
         committed

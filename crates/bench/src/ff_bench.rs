@@ -26,7 +26,7 @@ use evax_core::prelude::{Detector, DetectorKind, Featurizer, Parallelism, TrainC
 use evax_defense::adaptive::AdaptiveConfig;
 use evax_defense::fleet::{run_fleet, FleetConfig, InferenceMode};
 use evax_sim::isa::Program;
-use evax_sim::{Cpu, CpuConfig, SampleSchedule};
+use evax_sim::{CpuConfig, SampleSchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -177,9 +177,7 @@ fn run_mix(mix: &[Program], max_instrs: u64, detailed: bool, reps: u32) -> ModeP
         let (rep_instrs, secs) = timed(|| {
             let mut rep_instrs = 0u64;
             for program in mix {
-                let mut cpu = Cpu::new(cfg.clone());
-                cpu.memory_mut()
-                    .write_u64(evax_attacks::mds::KERNEL_SECRET_ADDR, 5);
+                let mut cpu = evax_attacks::tenant_core(&cfg);
                 rep_instrs += if detailed {
                     cpu.run(program, max_instrs).committed_instructions
                 } else {
@@ -208,9 +206,7 @@ fn classify_program(
     max_instrs: u64,
     schedule: SampleSchedule,
 ) -> (u64, u64) {
-    let mut cpu = Cpu::new(CpuConfig::default());
-    cpu.memory_mut()
-        .write_u64(evax_attacks::mds::KERNEL_SECRET_ADDR, 5);
+    let mut cpu = evax_attacks::tenant_core(&CpuConfig::default());
     let mut base = vec![0.0f32; featurizer.base_dim()];
     let mut windows = 0u64;
     let mut flags = 0u64;

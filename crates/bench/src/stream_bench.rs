@@ -1,6 +1,6 @@
-//! Shared corpus + collection drivers for the streaming-featurization
-//! benchmarks: the `collect_streaming` criterion bench and the
-//! `collect_rss` peak-memory harness (`BENCH_stream.json`).
+//! Corpus + collection drivers for the `collect_rss` binary, which compares
+//! streaming against materialising collection in time and peak memory
+//! (`BENCH_stream.json`).
 //!
 //! Two implementations of the same fit-then-normalize collection:
 //!

@@ -43,7 +43,6 @@
 //! threads).
 
 use std::io::Read;
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use evax_sim::{MitigationMode, RunResult};
@@ -52,7 +51,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::{EvaxError, Result};
 use crate::featurize::{RawWindow, WindowSink, WindowSource};
-use crate::io::ModelBundle;
 
 /// The injector taxonomy: which hostile condition a [`FaultInjector`]
 /// manufactures.
@@ -483,32 +481,6 @@ pub fn retry<T>(policy: &RetryPolicy, mut f: impl FnMut(u32) -> Result<T>) -> Re
     Err(last.unwrap_or_else(|| {
         EvaxError::corrupt("retry loop", "at least one attempt", "zero attempts")
     }))
-}
-
-/// [`crate::io::read_model_file`] under a bounded [`RetryPolicy`] —
-/// the fail-secure loader for deployment loops that must survive
-/// transient storage faults without ever panicking.
-///
-/// # Errors
-/// As [`crate::io::read_model_file`]; transient I/O errors are retried up
-/// to the policy's budget first.
-pub fn read_model_file_with_retry<P: AsRef<Path>>(
-    path: P,
-    policy: &RetryPolicy,
-) -> Result<ModelBundle> {
-    retry(policy, |_| crate::io::read_model_file(path.as_ref()))
-}
-
-/// [`crate::io::read_featurizer_file`] under a bounded [`RetryPolicy`].
-///
-/// # Errors
-/// As [`crate::io::read_featurizer_file`]; transient I/O errors are
-/// retried up to the policy's budget first.
-pub fn read_featurizer_file_with_retry<P: AsRef<Path>>(
-    path: P,
-    policy: &RetryPolicy,
-) -> Result<crate::featurize::Featurizer> {
-    retry(policy, |_| crate::io::read_featurizer_file(path.as_ref()))
 }
 
 #[cfg(test)]

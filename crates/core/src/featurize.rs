@@ -47,7 +47,7 @@
 use evax_nn::detector::{Detector as ModelDetector, DetectorScratch};
 use evax_obs::MetricsSink;
 use evax_sim::{
-    Cpu, CpuConfig, FeatureSchema, MitigationMode, Modality, Program, RunResult, SampleSchedule,
+    CpuConfig, FeatureSchema, MitigationMode, Modality, Program, RunResult, SampleSchedule,
 };
 
 use crate::dataset::{Dataset, Normalizer, Sample};
@@ -151,9 +151,7 @@ impl<'a> ProgramSource<'a> {
 
 impl WindowSource for ProgramSource<'_> {
     fn stream(&mut self, sink: &mut dyn WindowSink) -> RunResult {
-        let mut cpu = Cpu::new(self.cpu_cfg.clone());
-        cpu.memory_mut()
-            .write_u64(evax_attacks::mds::KERNEL_SECRET_ADDR, 5);
+        let mut cpu = evax_attacks::tenant_core(self.cpu_cfg);
         let result = if self.metrics.enabled() {
             let windows = self.metrics.counter("featurize.windows");
             let switches = self.metrics.counter("featurize.mode_switches");

@@ -255,15 +255,13 @@ pub fn collect_corpus(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use evax_sim::{Cpu, CpuConfig};
+    use evax_sim::CpuConfig;
 
     #[test]
     fn every_tool_generates_runnable_programs() {
         for tool in FUZZ_TOOLS {
             for (program, _class) in generate_programs(tool, 3, 11) {
-                let mut cpu = Cpu::new(CpuConfig::default());
-                cpu.memory_mut()
-                    .write_u64(evax_attacks::mds::KERNEL_SECRET_ADDR, 5);
+                let mut cpu = evax_attacks::tenant_core(&CpuConfig::default());
                 let res = cpu.run(&program, 300_000);
                 assert!(res.halted, "{tool}: {} did not halt", program.name());
             }

@@ -99,6 +99,17 @@ fn fletcher32(data: &[u8]) -> u32 {
     (b << 16) | a
 }
 
+/// Frames a payload as a patch blob: magic, version, checksum and length.
+fn seal(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() + 14);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&fletcher32(payload).to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
 impl DetectorPatch {
     /// Captures a trained detector as a shippable patch.
     pub fn from_detector(detector: &Detector, base_dim: usize, revision: u32) -> Self {
@@ -196,6 +207,9 @@ impl DetectorPatch {
             }
             engineered.push(EngineeredFeature { name, components });
         }
+        if r.pos != p.len() {
+            return Err(PatchError::Malformed("trailing payload bytes".into()));
+        }
         Ok(DetectorPatch {
             revision,
             base_dim,
@@ -210,17 +224,12 @@ impl DetectorPatch {
     /// Serializes to the signed-blob wire format:
     /// `MAGIC | version(u16) | checksum(u32) | payload-len(u32) | payload`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(payload.len() + 14);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&fletcher32(&payload).to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        seal(&self.encode_payload())
     }
 
-    /// Decodes and integrity-checks a patch blob.
+    /// Decodes and integrity-checks a patch blob. Bytes after the declared
+    /// payload, or payload bytes the decoder does not consume, make the
+    /// patch malformed.
     ///
     /// # Errors
     /// Returns a [`PatchError`] for bad magic, unsupported versions,
@@ -238,6 +247,9 @@ impl DetectorPatch {
         let payload = blob
             .get(14..14 + len)
             .ok_or_else(|| PatchError::Malformed("truncated payload".into()))?;
+        if blob.len() != 14 + len {
+            return Err(PatchError::Malformed("trailing bytes after payload".into()));
+        }
         if fletcher32(payload) != checksum {
             return Err(PatchError::ChecksumMismatch);
         }
@@ -385,6 +397,28 @@ mod tests {
         assert!(matches!(
             DetectorPatch::from_bytes(&blob),
             Err(PatchError::ChecksumMismatch) | Err(PatchError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn bytes_after_the_payload_rejected() {
+        let (det, dim) = trained(6);
+        let mut blob = DetectorPatch::from_detector(&det, dim, 1).to_bytes();
+        blob.push(0);
+        assert!(matches!(
+            DetectorPatch::from_bytes(&blob),
+            Err(PatchError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn checksummed_payload_with_trailing_bytes_rejected() {
+        let (det, dim) = trained(7);
+        let mut payload = DetectorPatch::from_detector(&det, dim, 1).encode_payload();
+        payload.extend_from_slice(&[0; 4]);
+        assert!(matches!(
+            DetectorPatch::from_bytes(&seal(&payload)),
+            Err(PatchError::Malformed(_))
         ));
     }
 

@@ -16,10 +16,7 @@ pub use crate::collect::CollectConfig;
 pub use crate::dataset::{Dataset, Normalizer, Sample, BENIGN_CLASS, N_CLASSES};
 pub use crate::detector::{Detector, DetectorKind, TrainConfig};
 pub use crate::error::{EvaxError, Result};
-pub use crate::faults::{
-    read_featurizer_file_with_retry, read_model_file_with_retry, retry, FaultInjector, FaultKind,
-    FaultingSink, RetryPolicy, SliceSource,
-};
+pub use crate::faults::{retry, FaultInjector, FaultKind, FaultingSink, RetryPolicy, SliceSource};
 pub use crate::featurize::{
     Featurizer, ProgramSource, RawWindow, StreamStats, WindowBatch, WindowSink, WindowSource,
 };

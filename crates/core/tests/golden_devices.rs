@@ -11,7 +11,7 @@ use evax_attacks::benign::Scale;
 use evax_attacks::{build_attack, build_benign, AttackClass, BenignKind, KernelParams};
 use evax_core::featurize::{CollectingSink, ProgramSource, WindowSource};
 use evax_core::par::{self, Parallelism};
-use evax_sim::{Cpu, CpuConfig, DeviceConfig, DmaConfig, Program};
+use evax_sim::{CpuConfig, DeviceConfig, DmaConfig, Program};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -77,9 +77,7 @@ fn stream_bits(program: &Program, cfg: &CpuConfig) -> Vec<u64> {
 /// subsystem existed), including the kernel-secret plant `ProgramSource`
 /// performs.
 fn oracle_bits(program: &Program, cfg: &CpuConfig) -> Vec<u64> {
-    let mut cpu = Cpu::new(cfg.clone());
-    cpu.memory_mut()
-        .write_u64(evax_attacks::mds::KERNEL_SECRET_ADDR, 5);
+    let mut cpu = evax_attacks::tenant_core(cfg);
     let mut bits = Vec::new();
     let result = cpu.run_sampled(program, MAX_INSTRS, INTERVAL, |s| {
         bits.extend(s.values.iter().map(|v| v.to_bits()));

@@ -178,8 +178,8 @@ pub struct CpuConfig {
     /// here fault at commit but forward data transiently (Meltdown surface).
     pub kernel_base: u64,
     /// Enables the L1D stride prefetcher (disabled by default so baseline
-    /// results match Table II's plain configuration; Criterion's `microarch`
-    /// bench and the prefetcher tests exercise it).
+    /// results match Table II's plain configuration; the prefetcher tests
+    /// exercise it).
     pub stride_prefetcher: bool,
     /// Latency of the shared RDRAND unit when uncontended.
     pub rdrand_latency: u32,

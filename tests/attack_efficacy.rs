@@ -13,9 +13,7 @@ use rand::SeedableRng;
 fn recover(class: AttackClass, probe_base: u64, params: &KernelParams) -> (Vec<u64>, Cpu) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let program = build_attack(class, params, &mut rng);
-    let mut cpu = Cpu::new(CpuConfig::default());
-    cpu.memory_mut()
-        .write_u64(evax::attacks::mds::KERNEL_SECRET_ADDR, 5);
+    let mut cpu = evax::attacks::tenant_core(&CpuConfig::default());
     let res = cpu.run(&program, 500_000);
     assert!(res.halted, "{class} must halt");
     let cached: Vec<u64> = (0..16)
@@ -188,9 +186,7 @@ fn transmission_requires_the_transient_window() {
             mitigation: evax::sim::MitigationMode::FenceFuturistic,
             ..Default::default()
         };
-        let mut cpu = Cpu::new(cfg);
-        cpu.memory_mut()
-            .write_u64(evax::attacks::mds::KERNEL_SECRET_ADDR, 5);
+        let mut cpu = evax::attacks::tenant_core(&cfg);
         let res = cpu.run(&program, 500_000);
         assert!(res.halted, "{class} must still halt under fencing");
         let line = probe + secret * 64;

@@ -14,10 +14,7 @@ use rand::SeedableRng;
 const MAX_INSTRS: u64 = 6_000;
 
 fn fresh_core() -> Cpu {
-    let mut cpu = Cpu::new(CpuConfig::default());
-    cpu.memory_mut()
-        .write_u64(evax::attacks::mds::KERNEL_SECRET_ADDR, 5);
-    cpu
+    evax::attacks::tenant_core(&CpuConfig::default())
 }
 
 /// `RdCycle` reads timing and `RdRand` draws from a generator the wrong

@@ -14,9 +14,7 @@ use evax::attacks::{build_attack, build_benign, AttackClass, BenignKind, KernelP
 use evax::core::featurize::{CollectingSink, ProgramSource, WindowSource};
 use evax::core::par::{self, Parallelism};
 use evax::sim::isa::Program;
-use evax::sim::{
-    Cpu, CpuConfig, FeatureSchema, SampleSchedule, SensorConfig, ENERGY_DIM, HPC_BASE_DIM,
-};
+use evax::sim::{CpuConfig, FeatureSchema, SampleSchedule, SensorConfig, ENERGY_DIM, HPC_BASE_DIM};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,9 +60,7 @@ fn collect(program: &Program, cfg: &CpuConfig) -> Vec<Vec<f64>> {
 /// ORACLE — the pre-sensor collection path: `run_sampled` on a default
 /// (sensor-free) configuration, no featurize-module involvement.
 fn oracle_windows(program: &Program) -> Vec<Vec<f64>> {
-    let mut cpu = Cpu::new(CpuConfig::default());
-    cpu.memory_mut()
-        .write_u64(evax::attacks::mds::KERNEL_SECRET_ADDR, 5);
+    let mut cpu = evax::attacks::tenant_core(&CpuConfig::default());
     let mut windows = Vec::new();
     cpu.run_sampled(program, MAX_INSTRS, INTERVAL, |s| {
         windows.push(s.values);
@@ -205,8 +201,7 @@ proptest! {
         };
 
         let run = |()| {
-            let mut cpu = Cpu::new(cfg.clone());
-            cpu.memory_mut().write_u64(evax::attacks::mds::KERNEL_SECRET_ADDR, 5);
+            let mut cpu = evax::attacks::tenant_core(&cfg);
             let mut windows: Vec<Vec<f64>> = Vec::new();
             cpu.run_sampled_with_schedule(&program, MAX_INSTRS, INTERVAL, schedule, |s| {
                 windows.push(s.values);

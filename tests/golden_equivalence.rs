@@ -14,7 +14,7 @@ use evax::attacks::{
     build_attack, build_benign, AttackClass, BenignKind, KernelParams, ATTACK_CLASSES, BENIGN_KINDS,
 };
 use evax::sim::isa::Program;
-use evax::sim::{Cpu, CpuConfig, HpcSample, MitigationMode, PipelineStats, SchedulerKind};
+use evax::sim::{CpuConfig, HpcSample, MitigationMode, PipelineStats, SchedulerKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,9 +52,7 @@ fn run_outcome_cfg(
     max_instrs: u64,
     mut on_sample: impl FnMut(usize, &HpcSample) -> Option<MitigationMode>,
 ) -> Outcome {
-    let mut cpu = Cpu::new(cfg);
-    cpu.memory_mut()
-        .write_u64(evax::attacks::mds::KERNEL_SECRET_ADDR, 5);
+    let mut cpu = evax::attacks::tenant_core(&cfg);
     let mut samples = Vec::new();
     let result = cpu.run_sampled(program, max_instrs, SAMPLE_INTERVAL, |s| {
         let switch = on_sample(samples.len(), &s);

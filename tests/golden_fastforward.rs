@@ -47,10 +47,7 @@ fn benign_program(kind: BenignKind, seed: u64) -> Program {
 }
 
 fn fresh_cpu() -> Cpu {
-    let mut cpu = Cpu::new(CpuConfig::default());
-    cpu.memory_mut()
-        .write_u64(evax::attacks::mds::KERNEL_SECRET_ADDR, 5);
-    cpu
+    evax::attacks::tenant_core(&CpuConfig::default())
 }
 
 /// One closed sampling window, floats captured by bits.

@@ -23,7 +23,7 @@ use evax::core::par::{self, Parallelism};
 use evax::defense::{run_adaptive, AdaptiveConfig, Policy};
 use evax::obs::MetricsSink;
 use evax::sim::isa::Program;
-use evax::sim::{Cpu, CpuConfig, MitigationMode};
+use evax::sim::{CpuConfig, MitigationMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,9 +54,7 @@ fn corpus(attacks: &[AttackClass], benigns: &[BenignKind], scale: u64) -> Vec<(u
 fn oracle_collect(corpus: &[(usize, Program)], max_instrs: u64) -> (Dataset, Normalizer) {
     let mut all: Vec<(usize, Vec<Vec<f64>>)> = Vec::new();
     for (class, program) in corpus {
-        let mut cpu = Cpu::new(CpuConfig::default());
-        cpu.memory_mut()
-            .write_u64(evax::attacks::mds::KERNEL_SECRET_ADDR, 5);
+        let mut cpu = evax::attacks::tenant_core(&CpuConfig::default());
         let mut windows: Vec<Vec<f64>> = Vec::new();
         cpu.run_sampled(program, max_instrs, INTERVAL, |s| {
             windows.push(s.values);
@@ -203,9 +201,7 @@ fn streaming_verdicts_match_oracle() {
     for (class, program) in &corpus {
         // Oracle: the old deployment loop — materialize each window,
         // normalize (allocating), classify.
-        let mut cpu = Cpu::new(CpuConfig::default());
-        cpu.memory_mut()
-            .write_u64(evax::attacks::mds::KERNEL_SECRET_ADDR, 5);
+        let mut cpu = evax::attacks::tenant_core(&CpuConfig::default());
         let mut oracle_verdicts = Vec::new();
         cpu.run_sampled(program, 3_000, INTERVAL, |s| {
             oracle_verdicts.push(detector.classify(&norm.normalize(&s.values)));
@@ -250,9 +246,7 @@ fn adaptive_controller_matches_handrolled_oracle() {
 
     for (class, program) in &corpus {
         // Oracle: the old run_adaptive body, verbatim state machine.
-        let mut cpu = Cpu::new(CpuConfig::default());
-        cpu.memory_mut()
-            .write_u64(evax::attacks::mds::KERNEL_SECRET_ADDR, 5);
+        let mut cpu = evax::attacks::tenant_core(&CpuConfig::default());
         let mut flags = 0u64;
         let mut secure_instructions = 0u64;
         let mut secure_remaining = 0u64;

@@ -15,7 +15,7 @@ use evax::attacks::{
     build_attack, build_benign, AttackClass, BenignKind, CarrierKind, KernelParams,
 };
 use evax::sim::isa::Program;
-use evax::sim::{dim_for, Cpu, CpuConfig, SampledStep, Snapshot};
+use evax::sim::{dim_for, CpuConfig, SampledStep, Snapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -32,11 +32,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 fn snapshot_after_windows(cfg: CpuConfig, program: &Program) -> Snapshot {
-    let mut cpu = Cpu::new(cfg);
-    // Seed the kernel secret the MDS-family kernels read, as the other
-    // golden tests do.
-    cpu.memory_mut()
-        .write_u64(evax::attacks::mds::KERNEL_SECRET_ADDR, 5);
+    let mut cpu = evax::attacks::tenant_core(&cfg);
     let mut cursor = cpu.begin_sampled(MAX_INSTRS, INTERVAL);
     let mut values = vec![0.0f64; dim_for(cpu.config())];
     for window in 0..WINDOWS {

@@ -4,7 +4,7 @@
 
 use evax::attacks::common::layout;
 use evax::attacks::{build_attack, AttackClass, KernelParams};
-use evax::sim::{Cpu, CpuConfig, MitigationMode};
+use evax::sim::{CpuConfig, MitigationMode};
 use rand::SeedableRng;
 
 /// Runs `class` under `mode`; returns whether the attack's probe footprint
@@ -20,9 +20,7 @@ fn leaks(class: AttackClass, mode: MitigationMode, seed: u64) -> bool {
         mitigation: mode,
         ..Default::default()
     };
-    let mut cpu = Cpu::new(cfg);
-    cpu.memory_mut()
-        .write_u64(evax::attacks::mds::KERNEL_SECRET_ADDR, 5);
+    let mut cpu = evax::attacks::tenant_core(&cfg);
     let res = cpu.run(&program, 300_000);
     assert!(res.halted, "{class} under {mode:?} must halt");
     let probe_of = |base: u64, secret: u64| {
