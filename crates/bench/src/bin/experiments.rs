@@ -25,6 +25,7 @@ use evax_bench::artifact::{header, threads, Object, Value};
 use evax_bench::cli::{self, Args};
 use evax_bench::{run_experiment, ExperimentScale, Harness, EXPERIMENT_IDS};
 use evax_core::par::{self, Parallelism};
+use evax_sim::snapshot::Fnv1a;
 
 const USAGE: &str = "experiments <id>... [--seed N] [--scale small|full] [--threads N] [--json] \
                      [--metrics-out PATH]";
@@ -62,7 +63,7 @@ fn run() -> Result<(), ExitCode> {
         ids = EXPERIMENT_IDS.iter().map(|s| s.to_string()).collect();
     }
 
-    let harness = Harness::new(seed, opts.scale);
+    let harness = Harness::new(seed, opts.scale, parallelism);
     // Fan the experiments out; each returns (report-or-error, seconds).
     // Results merge back in id order, so output is stable at any thread count.
     let (results, total_secs) = evax_bench::harness::timed(|| {
@@ -136,6 +137,26 @@ fn parse(argv: Vec<String>) -> Result<Opts, String> {
     Ok(opts)
 }
 
+/// One experiment's `--json` entry: id, outcome, wall seconds, and the
+/// `report_digest` of its report text (`null` when it failed).
+fn experiment_entry(id: &str, result: &Result<String, String>, secs: f64) -> Object {
+    let digest = result.as_ref().ok().map(|report| report_digest(report));
+    Object::new()
+        .field("id", id)
+        .field("ok", result.is_ok())
+        .fixed("secs", secs, 3)
+        .field("report_digest", digest.as_deref())
+}
+
+/// FNV-1a over a report's text, as 16 hex digits: two runs printed the
+/// same report exactly when their digests match.
+fn report_digest(report: &str) -> String {
+    format!(
+        "{:016x}",
+        Fnv1a::default().bytes(report.as_bytes()).finish()
+    )
+}
+
 /// The `--json` timing summary.
 fn json_summary(
     harness: &Harness,
@@ -148,12 +169,7 @@ fn json_summary(
     let experiments: Value = ids
         .iter()
         .zip(results)
-        .map(|(id, (result, secs))| {
-            Object::new()
-                .field("id", id.as_str())
-                .field("ok", result.is_ok())
-                .fixed("secs", *secs, 3)
-        })
+        .map(|(id, (result, secs))| experiment_entry(id, result, *secs))
         .collect();
     // Simulator throughput baseline (event-driven vs scan scheduling on the
     // registry mix) — the perf trajectory future PRs compare against.
@@ -185,4 +201,22 @@ fn json_summary(
         // thread count (`Registry::to_json` is already a JSON object).
         .field("metrics", obs.map(|reg| Value::Raw(reg.to_json())))
         .fixed("total_secs", total_secs, 3)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_entry_carries_the_report_digest() {
+        let ok = experiment_entry("table2", &Ok("report".to_string()), 1.5).render();
+        for key in ["\"id\"", "\"ok\"", "\"secs\"", "\"report_digest\""] {
+            assert!(ok.contains(key), "missing {key} in {ok}");
+        }
+        let digest = format!("{:016x}", Fnv1a::default().bytes(b"report").finish());
+        assert!(ok.contains(&digest), "{ok}");
+        assert_ne!(report_digest("report"), report_digest("report "));
+        let failed = experiment_entry("nope", &Err("unknown".to_string()), 0.0).render();
+        assert!(failed.contains("\"report_digest\": null"), "{failed}");
+    }
 }

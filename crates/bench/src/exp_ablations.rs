@@ -156,7 +156,7 @@ pub fn ablate_asymmetry(h: &Harness) -> String {
         let mut rng = StdRng::seed_from_u64(h.seed ^ 0xA5A5 ^ gen_hidden as u64);
         let cfg = AmGanConfig {
             generator_hidden: gen_hidden,
-            ..h.scale.evax_config().gan.clone()
+            ..h.evax_config().gan.clone()
         };
         let gan = AmGan::train(&p.train, &cfg, &mut rng);
         let best = gan

@@ -169,7 +169,7 @@ pub fn fig14(h: &Harness) -> String {
 pub fn fig15(h: &Harness) -> String {
     let mut out = String::from("== Fig. 15: false positives / negatives per 10k instructions ==\n");
     out.push_str("interval | detector    | FP/10k    | FN/10k    | accuracy\n");
-    let base_cfg = h.scale.evax_config();
+    let base_cfg = h.evax_config();
     for &interval in &[100u64, 1_000, 10_000] {
         let cfg = EvaxConfig {
             collect: CollectConfig {

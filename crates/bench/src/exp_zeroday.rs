@@ -3,25 +3,11 @@
 
 use evax_attacks::AttackClass;
 use evax_core::deep_eval::{evaluate_depths, DeepEvalConfig};
-use evax_core::kfold::{leave_one_out, mean_errors, KfoldConfig};
+use evax_core::kfold::{leave_one_out, mean_errors};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::harness::Harness;
-
-fn kfold_cfg(h: &Harness) -> KfoldConfig {
-    let evax_cfg = h.scale.evax_config();
-    KfoldConfig {
-        gan: evax_cfg.gan.clone(),
-        detector: evax_cfg.detector.clone(),
-        augment_per_class: evax_cfg.augment_per_class,
-        augment_benign: evax_cfg.augment_benign,
-        fuzz_programs_per_tool: 2,
-        collect: evax_cfg.collect.clone(),
-        tpr_target: evax_cfg.tpr_target,
-        ..Default::default()
-    }
-}
 
 /// Fig. 19: leave-one-attack-out generalization error for PerSpectron,
 /// fuzz-hardened PerSpectron and EVAX.
@@ -42,7 +28,7 @@ pub fn fig19(h: &Harness) -> String {
         &p.train,
         &p.normalizer,
         &classes,
-        &kfold_cfg(h),
+        &h.kfold_config(),
         h.seed ^ 0x19,
     );
     let mut out =
@@ -96,7 +82,7 @@ pub fn zeroday(h: &Harness) -> String {
         &p.train,
         &p.normalizer,
         &classes,
-        &kfold_cfg(h),
+        &h.kfold_config(),
         h.seed ^ 0x2D,
     );
     let paper: &[(&str, f64, f64)] = &[

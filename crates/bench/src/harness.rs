@@ -4,6 +4,8 @@
 use std::sync::OnceLock;
 
 use evax_core::gan::AmGanConfig;
+use evax_core::kfold::KfoldConfig;
+use evax_core::par::Parallelism;
 use evax_core::prelude::{CollectConfig, EvaxConfig, EvaxPipeline};
 
 /// How much compute an experiment run spends. The paper's corpus sizes
@@ -98,22 +100,52 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     (result, started.elapsed().as_secs_f64())
 }
 
-/// The experiment context: seed, scale, and the shared trained pipeline.
+/// The experiment context: seed, scale, thread budget, and the shared
+/// trained pipeline.
 pub struct Harness {
     /// RNG seed for every experiment.
     pub seed: u64,
     /// Compute scale.
     pub scale: ExperimentScale,
+    /// The run's worker-thread budget (`--threads`), written into every
+    /// collection and k-fold configuration the harness builds.
+    pub parallelism: Parallelism,
     pipeline: OnceLock<EvaxPipeline>,
 }
 
 impl Harness {
     /// Creates a harness.
-    pub fn new(seed: u64, scale: ExperimentScale) -> Self {
+    pub fn new(seed: u64, scale: ExperimentScale, parallelism: Parallelism) -> Self {
         Harness {
             seed,
             scale,
+            parallelism,
             pipeline: OnceLock::new(),
+        }
+    }
+
+    /// The scale's pipeline configuration, collecting within the run's
+    /// thread budget.
+    pub fn evax_config(&self) -> EvaxConfig {
+        let mut cfg = self.scale.evax_config();
+        cfg.collect.parallelism = self.parallelism;
+        cfg
+    }
+
+    /// The k-fold configuration of the zero-day experiments (Fig. 19 and
+    /// the §VIII-C headlines): the scale's pipeline settings, two fuzz
+    /// programs per tool, folds fanned out within the run's thread budget.
+    pub fn kfold_config(&self) -> KfoldConfig {
+        let evax_cfg = self.evax_config();
+        KfoldConfig {
+            gan: evax_cfg.gan,
+            detector: evax_cfg.detector,
+            augment_per_class: evax_cfg.augment_per_class,
+            augment_benign: evax_cfg.augment_benign,
+            fuzz_programs_per_tool: 2,
+            collect: evax_cfg.collect,
+            tpr_target: evax_cfg.tpr_target,
+            parallelism: self.parallelism,
         }
     }
 
@@ -122,7 +154,7 @@ impl Harness {
     pub fn pipeline(&self) -> &EvaxPipeline {
         self.pipeline.get_or_init(|| {
             eprintln!("[harness] training EVAX pipeline (collect + AM-GAN + vaccinate)...");
-            let p = EvaxPipeline::run(&self.scale.evax_config(), self.seed);
+            let p = EvaxPipeline::run(&self.evax_config(), self.seed);
             eprintln!(
                 "[harness] pipeline ready: {} train samples, {} holdout",
                 p.train.len(),
@@ -151,6 +183,15 @@ mod tests {
         );
         assert_eq!(ExperimentScale::parse("full"), Some(ExperimentScale::Full));
         assert_eq!(ExperimentScale::parse("huge"), None);
+    }
+
+    #[test]
+    fn thread_budget_reaches_collect_and_kfold_configs() {
+        let h = Harness::new(7, ExperimentScale::Small, Parallelism::Fixed(1));
+        assert_eq!(h.evax_config().collect.parallelism, Parallelism::Fixed(1));
+        let kfold = h.kfold_config();
+        assert_eq!(kfold.parallelism, Parallelism::Fixed(1));
+        assert_eq!(kfold.collect.parallelism, Parallelism::Fixed(1));
     }
 
     #[test]

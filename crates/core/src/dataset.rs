@@ -4,6 +4,7 @@
 //! sampling simulation point. Statistics are normalized over the maximum
 //! value of the counter."
 
+use evax_nn::Matrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -269,11 +270,23 @@ impl Dataset {
         removed
     }
 
-    /// Draws a random batch of indices.
-    pub fn batch_indices<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<usize> {
-        (0..n)
-            .map(|_| rng.gen_range(0..self.samples.len()))
-            .collect()
+    /// Draws a minibatch of `n` samples uniformly with replacement: their
+    /// indices go to `idx` and their feature rows to `x` (reshaped to
+    /// `n × feature_dim`). Both buffers are refilled in place, so a training
+    /// loop allocates nothing per batch.
+    pub fn sample_batch_into<R: Rng>(
+        &self,
+        n: usize,
+        rng: &mut R,
+        idx: &mut Vec<usize>,
+        x: &mut Matrix,
+    ) {
+        idx.clear();
+        idx.extend((0..n).map(|_| rng.gen_range(0..self.samples.len())));
+        x.reset(n, self.feature_dim());
+        for (row, &i) in idx.iter().enumerate() {
+            x.row_mut(row).copy_from_slice(&self.samples[i].features);
+        }
     }
 
     /// Binary targets (`1.0` malicious) for the whole dataset, in order.

@@ -105,19 +105,14 @@ fn train_mlp<R: Rng>(
     );
     let mut opt = Adam::new(cfg.lr);
     let steps = (train.len() / cfg.batch).max(1);
+    let (mut idx, mut x, mut y) = (Vec::new(), Matrix::default(), Matrix::default());
     for _ in 0..cfg.epochs {
         for _ in 0..steps {
-            let idx = train.batch_indices(cfg.batch, rng);
-            let rows: Vec<Vec<f32>> = idx
-                .iter()
-                .map(|&i| train.samples[i].features.clone())
-                .collect();
-            let targets: Vec<Vec<f32>> = idx
-                .iter()
-                .map(|&i| vec![if train.samples[i].malicious { 1.0 } else { 0.0 }])
-                .collect();
-            let x = Matrix::from_rows(&rows);
-            let y = Matrix::from_rows(&targets);
+            train.sample_batch_into(cfg.batch, rng, &mut idx, &mut x);
+            y.reset(idx.len(), 1);
+            for (t, &i) in y.as_mut_slice().iter_mut().zip(&idx) {
+                *t = if train.samples[i].malicious { 1.0 } else { 0.0 };
+            }
             net.train_batch(&x, &y, Loss::Bce, &mut opt);
         }
     }

@@ -61,6 +61,41 @@ impl AmGanConfig {
     }
 }
 
+/// [`AmGan::mean_style_loss`] of a GAN mid-training, so the per-epoch
+/// check needs no [`AmGan`] around it.
+fn mean_style_loss<R: Rng>(
+    gan: &CondGan,
+    dataset: &Dataset,
+    style_idx: &[usize],
+    rng: &mut R,
+) -> f32 {
+    let mut total = 0.0f32;
+    let mut n = 0usize;
+    for class in 1..N_CLASSES {
+        let real: Vec<Sample> = dataset.of_class(class).take(32).cloned().collect();
+        if real.len() < 4 {
+            continue;
+        }
+        let generated = generate_samples(gan, class, real.len(), rng);
+        total += sample_style_loss(&real, &generated, style_idx);
+        n += 1;
+    }
+    if n == 0 {
+        f32::INFINITY
+    } else {
+        total / n as f32
+    }
+}
+
+/// [`AmGan::generate_samples`] from a bare GAN.
+fn generate_samples<R: Rng>(gan: &CondGan, class: usize, n: usize, rng: &mut R) -> Vec<Sample> {
+    let labels = vec![class; n];
+    let m = gan.generate(&labels, rng);
+    (0..n)
+        .map(|i| Sample::new(m.row(i).to_vec(), class))
+        .collect()
+}
+
 /// Loss in integer milli-units for deterministic histogram export (the NN
 /// substrate is bit-exact, so the quantized value is too).
 fn loss_milli(loss: f32) -> u64 {
@@ -182,28 +217,21 @@ impl AmGan {
         let d_hist = metrics.histogram("gan.d_loss_milli");
         let g_hist = metrics.histogram("gan.g_loss_milli");
         let style_hist = metrics.histogram("gan.style_loss_milli");
+        let (mut idx, mut x, mut labels) = (Vec::new(), Matrix::default(), Vec::new());
         for epoch in 0..cfg.epochs {
             let round = metrics.span("gan.epoch_wall_ns");
             let mut d_sum = 0.0;
             let mut g_sum = 0.0;
             for _ in 0..steps {
-                let idx = dataset.batch_indices(cfg.batch, rng);
-                let rows: Vec<Vec<f32>> = idx
-                    .iter()
-                    .map(|&i| dataset.samples[i].features.clone())
-                    .collect();
-                let labels: Vec<usize> = idx.iter().map(|&i| dataset.samples[i].class).collect();
-                let x = Matrix::from_rows(&rows);
+                dataset.sample_batch_into(cfg.batch, rng, &mut idx, &mut x);
+                labels.clear();
+                labels.extend(idx.iter().map(|&i| dataset.samples[i].class));
                 let stats = gan.train_step(&x, &labels, rng, &mut g_opt, &mut d_opt);
                 d_sum += stats.d_loss;
                 g_sum += stats.g_loss;
                 step_counter.inc();
             }
-            let am = AmGan {
-                gan: gan.clone(),
-                history: Vec::new(),
-            };
-            let style = am.mean_style_loss(dataset, &style_idx, rng);
+            let style = mean_style_loss(&gan, dataset, &style_idx, rng);
             if style < best_style {
                 best_style = style;
                 best = gan.clone();
@@ -248,32 +276,13 @@ impl AmGan {
         style_idx: &[usize],
         rng: &mut R,
     ) -> f32 {
-        let mut total = 0.0f32;
-        let mut n = 0usize;
-        for class in 1..N_CLASSES {
-            let real: Vec<Sample> = dataset.of_class(class).take(32).cloned().collect();
-            if real.len() < 4 {
-                continue;
-            }
-            let generated = self.generate_samples(class, real.len(), rng);
-            total += sample_style_loss(&real, &generated, style_idx);
-            n += 1;
-        }
-        if n == 0 {
-            f32::INFINITY
-        } else {
-            total / n as f32
-        }
+        mean_style_loss(&self.gan, dataset, style_idx, rng)
     }
 
     /// Generates `n` samples of the given class (Fig. 4,
     /// `AutomaticAttackGeneration(c', t')`).
     pub fn generate_samples<R: Rng>(&self, class: usize, n: usize, rng: &mut R) -> Vec<Sample> {
-        let labels = vec![class; n];
-        let m = self.gan.generate(&labels, rng);
-        (0..n)
-            .map(|i| Sample::new(m.row(i).to_vec(), class))
-            .collect()
+        generate_samples(&self.gan, class, n, rng)
     }
 
     /// Generates `n` *vetted* samples: over-generates by 3x and keeps the

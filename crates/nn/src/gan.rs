@@ -77,6 +77,29 @@ pub struct CondGan {
     cfg: GanConfig,
     generator: Network,
     discriminator: Network,
+    step: StepBuffers,
+}
+
+/// [`CondGan::train_step`]'s working matrices, refilled in place so a step
+/// allocates nothing once they have grown to the batch shape.
+#[derive(Debug, Clone, Default)]
+struct StepBuffers {
+    /// Generator input: noise ++ one-hot label, one row per sample.
+    g_in: Matrix,
+    /// Ping-pong buffers for the inference pass that generates fakes.
+    ping: Matrix,
+    pong: Matrix,
+    /// Discriminator batch: sample ++ one-hot label, one row per pair.
+    d_in: Matrix,
+    /// Discriminator targets, one per `d_in` row.
+    d_target: Matrix,
+    /// dL/d(discriminator output).
+    grad: Matrix,
+    /// dL/d(generator output): the sample columns of the Discriminator's
+    /// input gradient.
+    grad_g_out: Matrix,
+    /// Mismatched real pairs drawn this step: `(row, wrong label)`.
+    mismatched: Vec<(usize, usize)>,
 }
 
 impl CondGan {
@@ -109,6 +132,7 @@ impl CondGan {
             cfg,
             generator,
             discriminator,
+            step: StepBuffers::default(),
         }
     }
 
@@ -145,18 +169,24 @@ impl CondGan {
     pub fn sample_noise<R: Rng>(&self, n: usize, rng: &mut R) -> Matrix {
         let mut m = Matrix::zeros(n, self.cfg.noise_dim);
         for v in m.as_mut_slice() {
-            // Box-Muller from two uniforms keeps us independent of rand_distr.
-            let u1: f32 = rng.gen_range(1e-6f32..1.0);
-            let u2: f32 = rng.gen_range(0.0f32..1.0);
-            *v = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
+            *v = standard_normal(rng);
         }
         m
     }
 
     /// Generates one sample per label (paper Fig. 4, `AutomaticAttackGeneration`).
+    ///
+    /// # Panics
+    /// Panics if any label is out of range.
     pub fn generate<R: Rng>(&self, labels: &[usize], rng: &mut R) -> Matrix {
-        let z = self.sample_noise(labels.len(), rng);
-        let input = z.hcat(&self.one_hot(labels));
+        let mut input = Matrix::default();
+        fill_noise_and_labels(
+            &mut input,
+            self.cfg.noise_dim,
+            self.cfg.n_classes,
+            labels,
+            rng,
+        );
         self.generator.forward(&input)
     }
 
@@ -193,72 +223,67 @@ impl CondGan {
     {
         assert_eq!(real.rows(), labels.len(), "label count mismatch");
         assert!(real.rows() > 0, "empty batch");
+        let classes = self.cfg.n_classes;
         let n = real.rows();
+        let buf = &mut self.step;
 
         // ---- Discriminator phase ----
-        let fake = self.generate(labels, rng);
-        let mut d_in_rows: Vec<Vec<f32>> = Vec::with_capacity(2 * n + n / 2);
-        let mut d_targets: Vec<f32> = Vec::with_capacity(2 * n + n / 2);
-        let onehot = self.one_hot(labels);
-        for i in 0..n {
-            let mut row = real.row(i).to_vec();
-            row.extend_from_slice(onehot.row(i));
-            d_in_rows.push(row);
-            d_targets.push(1.0);
-        }
-        for i in 0..n {
-            let mut row = fake.row(i).to_vec();
-            row.extend_from_slice(onehot.row(i));
-            d_in_rows.push(row);
-            d_targets.push(0.0);
-        }
-        // Mismatched real pairs teach the Discriminator that labels matter.
-        if self.cfg.n_classes > 1 {
-            #[allow(clippy::needless_range_loop)] // i indexes labels, real and onehot together
-            for i in 0..n {
+        // Real-matching pairs (target 1), generated pairs (target 0), then
+        // mismatched real pairs (target 0), which teach the Discriminator
+        // that labels matter.
+        fill_noise_and_labels(&mut buf.g_in, self.cfg.noise_dim, classes, labels, rng);
+        let fake = self
+            .generator
+            .forward_into(&buf.g_in, &mut buf.ping, &mut buf.pong);
+        buf.mismatched.clear();
+        if classes > 1 {
+            for (i, &label) in labels.iter().enumerate() {
                 if rng.gen_bool(self.cfg.mismatch_prob) {
-                    let wrong = (labels[i] + 1 + rng.gen_range(0..self.cfg.n_classes - 1))
-                        % self.cfg.n_classes;
-                    let mut row = real.row(i).to_vec();
-                    let mut oh = vec![0.0; self.cfg.n_classes];
-                    oh[wrong] = 1.0;
-                    row.extend_from_slice(&oh);
-                    d_in_rows.push(row);
-                    d_targets.push(0.0);
+                    let wrong = (label + 1 + rng.gen_range(0..classes - 1)) % classes;
+                    buf.mismatched.push((i, wrong));
                 }
             }
         }
-        let d_in = Matrix::from_rows(&d_in_rows);
-        let d_target = Matrix::from_vec(d_targets.len(), 1, d_targets);
-        let d_loss = {
-            let pred = self.discriminator.forward_train(&d_in);
-            let value = Loss::Bce.value(&pred, &d_target);
-            let grad = Loss::Bce.gradient(&pred, &d_target);
-            self.discriminator.backward(&grad);
-            self.discriminator.apply_grads(d_opt, 0);
-            value
-        };
+        let rows = 2 * n + buf.mismatched.len();
+        buf.d_in.reset(rows, self.cfg.feature_dim + classes);
+        buf.d_target.reset(rows, 1);
+        for (i, &label) in labels.iter().enumerate() {
+            write_pair(buf.d_in.row_mut(i), real.row(i), label);
+            write_pair(buf.d_in.row_mut(n + i), fake.row(i), label);
+        }
+        for (m, &(i, wrong)) in buf.mismatched.iter().enumerate() {
+            write_pair(buf.d_in.row_mut(2 * n + m), real.row(i), wrong);
+        }
+        buf.d_target.as_mut_slice()[..n].fill(1.0);
+        let pred = self.discriminator.forward_train(&buf.d_in);
+        let d_loss = Loss::Bce.value(pred, &buf.d_target);
+        Loss::Bce.gradient_into(pred, &buf.d_target, &mut buf.grad);
+        self.discriminator.backward(&buf.grad);
+        self.discriminator.apply_grads(d_opt, 0);
 
         // ---- Generator phase ----
-        let z = self.sample_noise(n, rng);
-        let g_in = z.hcat(&onehot);
-        let g_out = self.generator.forward_train(&g_in);
-        let d_in_fake = g_out.hcat(&onehot);
-        let d_pred = self.discriminator.forward_train(&d_in_fake);
-        let want_real = Matrix::full(n, 1, 1.0);
-        let g_loss = Loss::Bce.value(&d_pred, &want_real);
+        fill_noise_and_labels(&mut buf.g_in, self.cfg.noise_dim, classes, labels, rng);
+        let g_out = self.generator.forward_train(&buf.g_in);
+        buf.d_in.reset(n, self.cfg.feature_dim + classes);
+        for (i, &label) in labels.iter().enumerate() {
+            write_pair(buf.d_in.row_mut(i), g_out.row(i), label);
+        }
+        let d_pred = self.discriminator.forward_train(&buf.d_in);
+        buf.d_target.reset(n, 1);
+        buf.d_target.as_mut_slice().fill(1.0);
+        let g_loss = Loss::Bce.value(d_pred, &buf.d_target);
         let fooled = (0..n).filter(|&i| d_pred.get(i, 0) > 0.5).count() as f32 / n as f32;
-        let grad = Loss::Bce.gradient(&d_pred, &want_real);
-        let grad_d_in = self.discriminator.backward(&grad);
-        self.discriminator.discard_grads(); // D is frozen in this phase.
-                                            // Route the gradient on the sample slice back into the Generator.
-        let mut grad_g_out = Matrix::zeros(n, self.cfg.feature_dim);
+        Loss::Bce.gradient_into(d_pred, &buf.d_target, &mut buf.grad);
+        // Route the gradient on the sample slice back into the Generator.
+        let grad_d_in = self.discriminator.backward(&buf.grad);
+        buf.grad_g_out.reset(n, self.cfg.feature_dim);
         for i in 0..n {
-            grad_g_out
+            buf.grad_g_out
                 .row_mut(i)
                 .copy_from_slice(&grad_d_in.row(i)[..self.cfg.feature_dim]);
         }
-        self.generator.backward(&grad_g_out);
+        self.discriminator.discard_grads(); // D is frozen in this phase.
+        self.generator.backward_params(&buf.grad_g_out);
         self.generator.apply_grads(g_opt, 1000);
 
         GanStats {
@@ -267,6 +292,41 @@ impl CondGan {
             fooled_rate: fooled,
         }
     }
+}
+
+/// Fills `g_in` with one Generator input row per label: standard-normal
+/// noise followed by the label's one-hot encoding. The noise is drawn in
+/// row-major order, as [`CondGan::sample_noise`] draws it.
+fn fill_noise_and_labels<R: Rng>(
+    g_in: &mut Matrix,
+    noise_dim: usize,
+    n_classes: usize,
+    labels: &[usize],
+    rng: &mut R,
+) {
+    g_in.reset(labels.len(), noise_dim + n_classes);
+    for (i, &label) in labels.iter().enumerate() {
+        assert!(label < n_classes, "label {label} out of range");
+        let row = g_in.row_mut(i);
+        for v in &mut row[..noise_dim] {
+            *v = standard_normal(rng);
+        }
+        row[noise_dim + label] = 1.0;
+    }
+}
+
+/// One standard-normal draw. Box-Muller from two uniforms keeps us
+/// independent of rand_distr.
+fn standard_normal<R: Rng>(rng: &mut R) -> f32 {
+    let u1: f32 = rng.gen_range(1e-6f32..1.0);
+    let u2: f32 = rng.gen_range(0.0f32..1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+}
+
+/// Writes `sample ++ onehot(label)` into a zeroed row.
+fn write_pair(row: &mut [f32], sample: &[f32], label: usize) {
+    row[..sample.len()].copy_from_slice(sample);
+    row[sample.len() + label] = 1.0;
 }
 
 #[cfg(test)]

@@ -4,14 +4,17 @@ use rand::Rng;
 
 use crate::activation::Activation;
 use crate::init::sample_weight;
+use crate::optim::Optimizer;
 use crate::tensor::Matrix;
 
 /// A fully-connected layer `y = act(x W + b)`.
 ///
 /// Weights are stored as an `in x out` matrix so a batch forward pass is a
-/// single `batch x in` · `in x out` product. The layer caches its input and
-/// activated output during [`Dense::forward_train`] so that
-/// [`Dense::backward`] can compute gradients.
+/// single `batch x in` · `in x out` product. The layer keeps its training
+/// buffers — the input and activated output of [`Dense::forward_train`],
+/// and the gradients [`Dense::backward`] computes — and refills them in
+/// place, so a training step allocates nothing once the buffers have grown
+/// to the batch shape.
 ///
 /// Weight access ([`Dense::weights`]) is public because EVAX's automatic
 /// performance-counter engineering (paper §VI-A) mines the trained
@@ -33,13 +36,30 @@ pub struct Dense {
     b: Vec<f32>,
     act: Activation,
     #[serde(skip)]
-    cached_input: Option<Matrix>,
-    #[serde(skip)]
-    cached_output: Option<Matrix>,
-    #[serde(skip)]
-    grad_w: Option<Matrix>,
-    #[serde(skip)]
-    grad_b: Option<Vec<f32>>,
+    train: TrainBuffers,
+}
+
+/// A [`Dense`] layer's training state, reused from step to step.
+#[derive(Debug, Clone, Default)]
+struct TrainBuffers {
+    /// `x` of the last [`Dense::forward_train`].
+    input: Matrix,
+    /// `y` of the last [`Dense::forward_train`].
+    output: Matrix,
+    /// dL/dz of the last [`Dense::backward`], z being the pre-activation.
+    grad_z: Matrix,
+    /// Accumulated dL/dW (meaningful while `has_grads`).
+    grad_w: Matrix,
+    /// Accumulated dL/db (meaningful while `has_grads`).
+    grad_b: Vec<f32>,
+    /// `W^T`, refreshed by every backward pass for the dL/dx product.
+    w_t: Matrix,
+    /// dL/dx of the last [`Dense::backward`].
+    grad_x: Matrix,
+    /// Whether [`Dense::forward_train`] has filled `input` and `output`.
+    primed: bool,
+    /// Whether `grad_w`/`grad_b` hold gradients not yet applied or cleared.
+    has_grads: bool,
 }
 
 impl Dense {
@@ -57,15 +77,7 @@ impl Dense {
         for v in w.as_mut_slice() {
             *v = sample_weight(rng, fan_in, fan_out, act);
         }
-        Dense {
-            w,
-            b: vec![0.0; fan_out],
-            act,
-            cached_input: None,
-            cached_output: None,
-            grad_w: None,
-            grad_b: None,
-        }
+        Dense::from_parts(w, vec![0.0; fan_out], act)
     }
 
     /// Builds a layer from explicit weights and bias (for tests and for
@@ -79,10 +91,7 @@ impl Dense {
             w,
             b: bias,
             act,
-            cached_input: None,
-            cached_output: None,
-            grad_w: None,
-            grad_b: None,
+            train: TrainBuffers::default(),
         }
     }
 
@@ -116,11 +125,10 @@ impl Dense {
         &self.b
     }
 
-    /// Inference-only forward pass (no caches touched).
+    /// Inference-only forward pass (no training buffers touched).
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut out = x.matmul(&self.w);
-        out.add_row_broadcast(&self.b);
-        self.act.apply_matrix(&mut out);
+        let mut out = Matrix::default();
+        self.forward_into(x, &mut out);
         out
     }
 
@@ -133,67 +141,84 @@ impl Dense {
         self.act.apply_matrix(out);
     }
 
-    /// Forward pass that caches input and output for a later
-    /// [`Dense::backward`].
-    pub fn forward_train(&mut self, x: &Matrix) -> Matrix {
-        let out = self.forward(x);
-        self.cached_input = Some(x.clone());
-        self.cached_output = Some(out.clone());
-        out
+    /// Forward pass that keeps its input and output for a later
+    /// [`Dense::backward`]; returns the output.
+    pub fn forward_train(&mut self, x: &Matrix) -> &Matrix {
+        let t = &mut self.train;
+        t.input.clone_from(x);
+        x.matmul_into(&self.w, &mut t.output);
+        t.output.add_row_broadcast(&self.b);
+        self.act.apply_matrix(&mut t.output);
+        t.primed = true;
+        &t.output
     }
 
-    /// Backward pass. `grad_out` is dL/dy (same shape as the cached output);
-    /// returns dL/dx and accumulates dL/dW, dL/db internally (retrieved by the
-    /// optimizer through [`Dense::take_grads`]).
+    /// Backward pass. `grad_out` is dL/dy (same shape as the last
+    /// [`Dense::forward_train`] output); returns dL/dx and accumulates dL/dW
+    /// and dL/db until [`Dense::step`] applies them or
+    /// [`Dense::clear_grads`] drops them.
     ///
     /// # Panics
     /// Panics if called before [`Dense::forward_train`].
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let y = self
-            .cached_output
-            .as_ref()
-            .expect("backward called before forward_train");
-        let x = self.cached_input.as_ref().expect("missing cached input");
-        // dL/dz where z is the pre-activation.
-        let mut grad_z = grad_out.clone();
-        for (g, &o) in grad_z.as_mut_slice().iter_mut().zip(y.as_slice().iter()) {
+    pub fn backward(&mut self, grad_out: &Matrix) -> &Matrix {
+        self.backward_params(grad_out);
+        let t = &mut self.train;
+        t.grad_z.matmul_nt_into(&self.w, &mut t.w_t, &mut t.grad_x);
+        &t.grad_x
+    }
+
+    /// [`Dense::backward`] without the dL/dx product, for a first layer
+    /// whose input gradient nobody reads.
+    pub(crate) fn backward_params(&mut self, grad_out: &Matrix) {
+        let t = &mut self.train;
+        assert!(t.primed, "backward called before forward_train");
+        t.grad_z.clone_from(grad_out);
+        for (g, &o) in t.grad_z.as_mut_slice().iter_mut().zip(t.output.as_slice()) {
             *g *= self.act.derivative_from_output(o);
         }
-        let gw = x.matmul_tn(&grad_z);
-        let gb = grad_z.col_sums();
-        match (&mut self.grad_w, &mut self.grad_b) {
-            (Some(acc_w), Some(acc_b)) => {
-                acc_w.add_assign(&gw);
-                for (a, b) in acc_b.iter_mut().zip(gb.iter()) {
-                    *a += b;
-                }
+        if t.has_grads {
+            // A second backward before the step: add this pass's gradients
+            // to the pending ones (the rare path, so it may allocate).
+            t.grad_w.add_assign(&t.input.matmul_tn(&t.grad_z));
+            for (a, b) in t.grad_b.iter_mut().zip(t.grad_z.col_sums()) {
+                *a += b;
             }
-            _ => {
-                self.grad_w = Some(gw);
-                self.grad_b = Some(gb);
-            }
-        }
-        grad_z.matmul_nt(&self.w)
-    }
-
-    /// Takes (and clears) the accumulated gradients, if any.
-    pub fn take_grads(&mut self) -> Option<(Matrix, Vec<f32>)> {
-        match (self.grad_w.take(), self.grad_b.take()) {
-            (Some(w), Some(b)) => Some((w, b)),
-            _ => None,
+        } else {
+            t.input.matmul_tn_into(&t.grad_z, &mut t.grad_w);
+            t.grad_z.col_sums_into(&mut t.grad_b);
+            t.has_grads = true;
         }
     }
 
-    /// Applies a raw parameter update `w -= dw`, `b -= db` (used by
-    /// optimizers).
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn apply_update(&mut self, dw: &Matrix, db: &[f32]) {
-        self.w.sub_assign(dw);
-        assert_eq!(db.len(), self.b.len(), "bias update width mismatch");
-        for (b, &d) in self.b.iter_mut().zip(db.iter()) {
-            *b -= d;
+    /// The last [`Dense::forward_train`] output.
+    pub(crate) fn output(&self) -> &Matrix {
+        &self.train.output
+    }
+
+    /// The last [`Dense::backward`] result, dL/dx.
+    pub(crate) fn grad_input(&self) -> &Matrix {
+        &self.train.grad_x
+    }
+
+    /// The accumulated gradients `(dL/dW, dL/db)`, if any are pending.
+    pub fn grads(&self) -> Option<(&Matrix, &[f32])> {
+        let t = &self.train;
+        t.has_grads.then_some((&t.grad_w, t.grad_b.as_slice()))
+    }
+
+    /// Drops any pending gradients without applying them.
+    pub fn clear_grads(&mut self) {
+        self.train.has_grads = false;
+    }
+
+    /// Applies the pending gradients through `opt` (state key `layer_id`),
+    /// updating the weights and bias in place, and clears them. Does
+    /// nothing if no gradients are pending.
+    pub fn step<O: Optimizer + ?Sized>(&mut self, opt: &mut O, layer_id: usize) {
+        let t = &mut self.train;
+        if t.has_grads {
+            opt.update(layer_id, &mut self.w, &mut self.b, &t.grad_w, &t.grad_b);
+            t.has_grads = false;
         }
     }
 }
@@ -232,10 +257,10 @@ mod tests {
         let x = Matrix::from_row(&[0.3, -0.7]);
         let target = 0.5f32;
 
-        let y = layer.forward_train(&x);
-        let grad_out = Matrix::from_row(&[y.get(0, 0) - target]);
+        let y = layer.forward_train(&x).get(0, 0);
+        let grad_out = Matrix::from_row(&[y - target]);
         layer.backward(&grad_out);
-        let (gw, _) = layer.take_grads().unwrap();
+        let gw = layer.grads().unwrap().0.clone();
 
         let eps = 1e-3f32;
         for i in 0..2 {
@@ -257,7 +282,7 @@ mod tests {
     }
 
     #[test]
-    fn grads_accumulate_until_taken() {
+    fn grads_accumulate_until_cleared() {
         let mut r = rng();
         let mut layer = Dense::new(2, 2, Activation::Identity, &mut r);
         let x = Matrix::from_row(&[1.0, 1.0]);
@@ -266,10 +291,12 @@ mod tests {
         layer.backward(&g);
         layer.forward_train(&x);
         layer.backward(&g);
-        let (gw, _) = layer.take_grads().unwrap();
+        let (gw, gb) = layer.grads().unwrap();
         // Each backward adds x^T g = all-ones; two passes -> all twos.
         assert!(gw.as_slice().iter().all(|&v| (v - 2.0).abs() < 1e-6));
-        assert!(layer.take_grads().is_none());
+        assert_eq!(gb, &[2.0, 2.0]);
+        layer.clear_grads();
+        assert!(layer.grads().is_none());
     }
 
     #[test]

@@ -54,37 +54,42 @@ impl Loss {
     /// # Panics
     /// Panics on shape mismatch.
     pub fn gradient(self, pred: &Matrix, target: &Matrix) -> Matrix {
+        let mut grad = Matrix::default();
+        self.gradient_into(pred, target, &mut grad);
+        grad
+    }
+
+    /// [`Loss::gradient`] into a caller-owned buffer (reshaped to `pred`'s
+    /// shape).
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub(crate) fn gradient_into(self, pred: &Matrix, target: &Matrix, grad: &mut Matrix) {
         assert_eq!(
             (pred.rows(), pred.cols()),
             (target.rows(), target.cols()),
             "loss shape mismatch"
         );
         let n = pred.as_slice().len().max(1) as f32;
-        let mut grad = Matrix::zeros(pred.rows(), pred.cols());
+        grad.reset(pred.rows(), pred.cols());
+        let terms = grad
+            .as_mut_slice()
+            .iter_mut()
+            .zip(pred.as_slice())
+            .zip(target.as_slice());
         match self {
             Loss::Mse => {
-                for ((g, &y), &t) in grad
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(pred.as_slice())
-                    .zip(target.as_slice())
-                {
+                for ((g, &y), &t) in terms {
                     *g = (y - t) / n;
                 }
             }
             Loss::Bce => {
-                for ((g, &y), &t) in grad
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(pred.as_slice())
-                    .zip(target.as_slice())
-                {
+                for ((g, &y), &t) in terms {
                     let y = y.clamp(1e-7, 1.0 - 1e-7);
                     *g = (y - t) / (y * (1.0 - y)) / n;
                 }
             }
         }
-        grad
     }
 }
 

@@ -22,6 +22,9 @@ use crate::tensor::Matrix;
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Network {
     layers: Vec<Dense>,
+    /// dL/d output buffer reused by [`Network::train_batch`].
+    #[serde(skip)]
+    loss_grad: Matrix,
 }
 
 impl Network {
@@ -38,7 +41,10 @@ impl Network {
                 "layer shapes do not chain"
             );
         }
-        Network { layers }
+        Network {
+            layers,
+            loss_grad: Matrix::default(),
+        }
     }
 
     /// Convenience constructor: an MLP with `hidden` hidden layers of width
@@ -130,23 +136,45 @@ impl Network {
         }
     }
 
-    /// Forward pass that caches intermediate activations for backprop.
-    pub fn forward_train(&mut self, x: &Matrix) -> Matrix {
-        let mut cur = self.layers[0].forward_train(x);
-        for layer in &mut self.layers[1..] {
-            cur = layer.forward_train(&cur);
+    /// Forward pass that keeps every layer's activations for backprop;
+    /// returns the last layer's output, held in that layer's buffer.
+    pub fn forward_train(&mut self, x: &Matrix) -> &Matrix {
+        self.layers[0].forward_train(x);
+        for i in 1..self.layers.len() {
+            let (done, rest) = self.layers.split_at_mut(i);
+            rest[0].forward_train(done[i - 1].output());
         }
-        cur
+        self.layers[self.layers.len() - 1].output()
     }
 
     /// Backpropagates `grad_out` (dL/d output) through all layers, leaving
-    /// accumulated gradients in each layer. Returns dL/d input.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut grad = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
+    /// accumulated gradients in each layer. Returns dL/d input, held in the
+    /// first layer's buffer.
+    ///
+    /// # Panics
+    /// Panics if called before [`Network::forward_train`].
+    pub fn backward(&mut self, grad_out: &Matrix) -> &Matrix {
+        self.backprop(grad_out, true);
+        self.layers[0].grad_input()
+    }
+
+    /// [`Network::backward`] for a caller that needs only the parameter
+    /// gradients: the first layer skips its dL/dx product.
+    pub(crate) fn backward_params(&mut self, grad_out: &Matrix) {
+        self.backprop(grad_out, false);
+    }
+
+    fn backprop(&mut self, grad_out: &Matrix, input_grad: bool) {
+        let last = self.layers.len() - 1;
+        for i in (0..=last).rev() {
+            let (head, tail) = self.layers.split_at_mut(i + 1);
+            let grad = tail.first().map_or(grad_out, Dense::grad_input);
+            if i > 0 || input_grad {
+                head[i].backward(grad);
+            } else {
+                head[i].backward_params(grad);
+            }
         }
-        grad
     }
 
     /// Applies one optimizer step using each layer's accumulated gradients,
@@ -156,10 +184,7 @@ impl Network {
     /// serve several networks without key collisions.
     pub fn apply_grads<O: Optimizer>(&mut self, opt: &mut O, id_base: usize) {
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            if let Some((gw, gb)) = layer.take_grads() {
-                let (dw, db) = opt.compute_update(id_base + i, &gw, &gb);
-                layer.apply_update(&dw, &db);
-            }
+            layer.step(opt, id_base + i);
         }
     }
 
@@ -168,12 +193,13 @@ impl Network {
     /// the frozen Discriminator is during Generator training).
     pub fn discard_grads(&mut self) {
         for layer in &mut self.layers {
-            let _ = layer.take_grads();
+            layer.clear_grads();
         }
     }
 
     /// One supervised training step on a batch; returns the loss before the
-    /// update.
+    /// update. Allocates nothing once every buffer has grown to the batch
+    /// shape.
     pub fn train_batch<O: Optimizer>(
         &mut self,
         x: &Matrix,
@@ -181,11 +207,13 @@ impl Network {
         loss: Loss,
         opt: &mut O,
     ) -> f32 {
+        let mut grad = std::mem::take(&mut self.loss_grad);
         let pred = self.forward_train(x);
-        let value = loss.value(&pred, y);
-        let grad = loss.gradient(&pred, y);
-        self.backward(&grad);
+        let value = loss.value(pred, y);
+        loss.gradient_into(pred, y, &mut grad);
+        self.backward_params(&grad);
         self.apply_grads(opt, 0);
+        self.loss_grad = grad;
         value
     }
 

@@ -229,21 +229,9 @@ impl QuantLinear {
             out.fill(self.bias_q);
             return;
         }
-        let threads = threads.max(1).min(out.len().max(1));
-        let score_span = |row0: usize, span: &mut [i64]| {
+        crate::tensor::score_spans(out, threads, |row0, span| {
             for (i, o) in span.iter_mut().enumerate() {
                 *o = self.score_q(&rows[(row0 + i) * n..(row0 + i + 1) * n]);
-            }
-        };
-        if threads <= 1 {
-            score_span(0, out);
-            return;
-        }
-        let chunk = out.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (idx, span) in out.chunks_mut(chunk).enumerate() {
-                let score_span = &score_span;
-                scope.spawn(move || score_span(idx * chunk, span));
             }
         });
     }

@@ -18,11 +18,29 @@ use std::fmt;
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s buffer when its
+    /// capacity allows.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl fmt::Debug for Matrix {
@@ -171,172 +189,131 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Reshapes to `rows x cols` and zero-fills, reusing the buffer when its
+    /// capacity allows — how the `*_into` products and training buffers
+    /// refill in place.
+    ///
+    /// # Panics
+    /// Panics if `rows * cols` overflows `usize`.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        let len = rows.checked_mul(cols).expect("matrix size overflow");
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(len, 0.0);
+    }
+
     /// Matrix product `self * other`.
     ///
-    /// Large products fan out across worker threads (see
-    /// [`Matrix::matmul_threaded`]); the result is bit-identical to the
-    /// serial computation at any thread count.
+    /// Each element `(i, j)` sums `self[i][k] * other[k][j]` from +0.0 in
+    /// ascending `k`, skipping the terms where `self[i][k] == 0.0`. Every
+    /// product in this crate is serial and keeps that order, so results
+    /// are bitwise reproducible; parallelism belongs to callers that fan
+    /// out independent work.
     ///
     /// # Panics
     /// Panics if `self.cols != other.rows`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let work = self.rows * self.cols * other.cols;
-        self.matmul_threaded(other, auto_threads(work))
-    }
-
-    /// [`Matrix::matmul`] with an explicit worker-thread count.
-    ///
-    /// Output rows are sharded into contiguous ranges, one per worker; each
-    /// element's k-accumulation runs entirely on one thread, in ascending-k
-    /// order, so the product is **bit-identical** to the serial kernel for
-    /// every thread count.
-    ///
-    /// # Panics
-    /// Panics if `self.cols != other.rows`.
-    pub fn matmul_threaded(&self, other: &Matrix, threads: usize) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        shard_rows(&mut out.data, other.cols, threads, |row0, shard| {
-            self.matmul_rows_into(other, row0, shard)
-        });
+        let mut out = Matrix::default();
+        self.matmul_into(other, &mut out);
         out
     }
 
     /// [`Matrix::matmul`] written into a caller-owned output matrix, reusing
     /// its buffer when capacity allows (`out` is reshaped to `self.rows ×
-    /// other.cols`). Bit-identical to `matmul` at any thread count.
+    /// other.cols`). Bit-identical to `matmul`.
     ///
     /// # Panics
     /// Panics if `self.cols != other.rows`.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        out.rows = self.rows;
-        out.cols = other.cols;
-        out.data.clear();
-        out.data.resize(self.rows * other.cols, 0.0);
-        let threads = auto_threads(self.rows * self.cols * other.cols);
-        shard_rows(&mut out.data, other.cols, threads, |row0, shard| {
-            self.matmul_rows_into(other, row0, shard)
-        });
-    }
-
-    /// Computes output rows `row0..` of `self * other` into `out_rows`
-    /// (k-tiled so a block of `other` rows stays hot across the shard).
-    fn matmul_rows_into(&self, other: &Matrix, row0: usize, out_rows: &mut [f32]) {
-        // 64 rows of `other` per tile: the tile is revisited by every row of
-        // the shard before moving on. Ascending tiles + ascending k inside a
-        // tile keep each element's accumulation order identical to the plain
-        // i-k-j loop.
-        const K_TILE: usize = 64;
-        let n_rows = out_rows.len().checked_div(other.cols).unwrap_or(0);
-        for kb in (0..self.cols).step_by(K_TILE) {
-            let kend = (kb + K_TILE).min(self.cols);
-            for local_i in 0..n_rows {
-                let i = row0 + local_i;
-                let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-                let out_row = &mut out_rows[local_i * other.cols..(local_i + 1) * other.cols];
-                for (k, &a) in a_row[kb..kend].iter().enumerate().map(|(o, a)| (kb + o, a)) {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let b_row = &other.data[k * other.cols..(k + 1) * other.cols];
-                    for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                        *o += a * b;
-                    }
-                }
-            }
-        }
+        out.reset(self.rows, other.cols);
+        let a = Strided {
+            data: &self.data,
+            row_stride: self.cols,
+            col_stride: 1,
+        };
+        gemm(a, &other.data, other.cols, &mut out.data, true);
     }
 
     /// `self^T * other` without materializing the transpose.
     ///
-    /// Threaded like [`Matrix::matmul`]; bit-identical at any thread count.
+    /// Element `(i, j)` sums `self[r][i] * other[r][j]` from +0.0 in
+    /// ascending `r`, skipping the terms where `self[r][i] == 0.0` — the
+    /// same order and skips as `self.transpose().matmul(other)`.
     ///
     /// # Panics
     /// Panics if `self.rows != other.rows`.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
-        let work = self.rows * self.cols * other.cols;
-        self.matmul_tn_threaded(other, auto_threads(work))
-    }
-
-    /// [`Matrix::matmul_tn`] with an explicit worker-thread count.
-    ///
-    /// # Panics
-    /// Panics if `self.rows != other.rows`.
-    pub fn matmul_tn_threaded(&self, other: &Matrix, threads: usize) -> Matrix {
-        assert_eq!(self.rows, other.rows, "matmul_tn dimension mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        shard_rows(&mut out.data, other.cols, threads, |i0, shard| {
-            self.matmul_tn_rows_into(other, i0, shard)
-        });
+        let mut out = Matrix::default();
+        self.matmul_tn_into(other, &mut out);
         out
     }
 
-    /// Computes output rows `i0..` of `self^T * other` into `out_rows`.
-    /// The r-reduction stays whole (ascending) per element.
-    fn matmul_tn_rows_into(&self, other: &Matrix, i0: usize, out_rows: &mut [f32]) {
-        let n_rows = out_rows.len().checked_div(other.cols).unwrap_or(0);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = other.row(r);
-            for local_i in 0..n_rows {
-                let a = a_row[i0 + local_i];
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out_rows[local_i * other.cols..(local_i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
+    /// [`Matrix::matmul_tn`] into a caller-owned output (reshaped to
+    /// `self.cols × other.cols`).
+    ///
+    /// # Panics
+    /// Panics if `self.rows != other.rows`.
+    pub(crate) fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.rows, other.rows, "matmul_tn dimension mismatch");
+        out.reset(self.cols, other.cols);
+        let a = Strided {
+            data: &self.data,
+            row_stride: 1,
+            col_stride: self.cols,
+        };
+        gemm(a, &other.data, other.cols, &mut out.data, true);
     }
 
-    /// `self * other^T` without materializing the transpose.
+    /// `self * other^T`.
     ///
-    /// Threaded like [`Matrix::matmul`]; bit-identical at any thread count.
+    /// Element `(i, j)` sums `self[i][k] * other[j][k]` from +0.0 in
+    /// ascending `k` and skips **no** term (a `0.0` factor times an
+    /// infinity still yields NaN).
     ///
     /// # Panics
     /// Panics if `self.cols != other.cols`.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        let work = self.rows * self.cols * other.rows;
-        self.matmul_nt_threaded(other, auto_threads(work))
+        let (mut other_t, mut out) = (Matrix::default(), Matrix::default());
+        self.matmul_nt_into(other, &mut other_t, &mut out);
+        out
     }
 
-    /// [`Matrix::matmul_nt`] with an explicit worker-thread count.
+    /// [`Matrix::matmul_nt`] into caller-owned buffers: `other_t` receives
+    /// `other`'s transpose, so the product runs as the same contiguous
+    /// i-k-j loop as [`Matrix::matmul`]; `out` is reshaped to `self.rows ×
+    /// other.rows`.
     ///
     /// # Panics
     /// Panics if `self.cols != other.cols`.
-    pub fn matmul_nt_threaded(&self, other: &Matrix, threads: usize) -> Matrix {
+    pub(crate) fn matmul_nt_into(&self, other: &Matrix, other_t: &mut Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_nt dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        shard_rows(&mut out.data, other.rows, threads, |i0, shard| {
-            let n_rows = shard.len().checked_div(other.rows).unwrap_or(0);
-            for local_i in 0..n_rows {
-                let a_row = self.row(i0 + local_i);
-                let out_row = &mut shard[local_i * other.rows..(local_i + 1) * other.rows];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = other.row(j);
-                    let mut acc = 0.0f32;
-                    for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                        acc += a * b;
-                    }
-                    *o = acc;
-                }
-            }
-        });
-        out
+        other.transpose_into(other_t);
+        out.reset(self.rows, other.rows);
+        let a = Strided {
+            data: &self.data,
+            row_stride: self.cols,
+            col_stride: 1,
+        };
+        gemm(a, &other_t.data, other.rows, &mut out.data, false);
     }
 
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Writes the transpose into `out` (reshaped to `self.cols × self.rows`).
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
+        out.reset(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
+                out.data[c * self.rows + r] = self.data[r * self.cols + c];
             }
         }
-        out
     }
 
     /// Element-wise in-place map.
@@ -406,13 +383,21 @@ impl Matrix {
 
     /// Sums each column into a vector of length `cols`.
     pub fn col_sums(&self) -> Vec<f32> {
-        let mut sums = vec![0.0f32; self.cols];
+        let mut sums = Vec::new();
+        self.col_sums_into(&mut sums);
+        sums
+    }
+
+    /// [`Matrix::col_sums`] into a caller-owned vector (resized to `cols`);
+    /// each sum runs from +0.0 over ascending rows.
+    pub(crate) fn col_sums_into(&self, sums: &mut Vec<f32>) {
+        sums.clear();
+        sums.resize(self.cols, 0.0);
         for r in 0..self.rows {
             for (s, &v) in sums.iter_mut().zip(self.row(r).iter()) {
                 *s += v;
             }
         }
-        sums
     }
 
     /// Horizontally concatenates `self | other`.
@@ -475,10 +460,10 @@ impl Matrix {
 /// **bit-identical** to scoring that row alone — independent of batch
 /// composition, batch size, and thread count. That property is what lets
 /// the fleet scheduler keep verdicts byte-identical across thread counts
-/// (see evax-defense).
+/// (see evax-defense). The `Matrix` products, by contrast, are serial.
 ///
 /// `threads == 0` resolves automatically from the multiply–accumulate count
-/// (same policy as [`Matrix::matmul`]).
+/// (same work-size and `EVAX_THREADS` policy as `evax-core`'s `par`).
 ///
 /// # Panics
 /// Panics if `rows.len() != out.len() * w.len()`.
@@ -501,20 +486,46 @@ pub fn matvec_bias_into(rows: &[f32], w: &[f32], bias: f32, threads: usize, out:
     } else {
         threads
     };
-    shard_rows(out, 1, threads, |row0, shard| {
-        for (i, o) in shard.iter_mut().enumerate() {
+    score_spans(out, threads, |row0, span| {
+        for (i, o) in span.iter_mut().enumerate() {
             let x = &rows[(row0 + i) * n..(row0 + i + 1) * n];
             *o = w.iter().zip(x.iter()).map(|(&w, &v)| w * v).sum::<f32>() + bias;
         }
     });
 }
 
-/// Multiply–accumulate count below which a product always runs serially:
-/// thread spawn/join overhead dwarfs the arithmetic. 2^18 ≈ a 64×64×64
-/// product.
+/// Runs `score(first_row, span)` over contiguous spans of a batch's
+/// per-row outputs: inline when `threads <= 1`, else one span per scoped
+/// worker. Each row is written by exactly one worker, so per-row results
+/// never depend on the thread count. The batched scoring kernels
+/// ([`matvec_bias_into`] and `QuantLinear::score_rows_q_into`) are the only
+/// threaded code in this crate.
+pub(crate) fn score_spans<T, F>(out: &mut [T], threads: usize, score: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let threads = threads.min(out.len());
+    if threads <= 1 {
+        score(0, out);
+        return;
+    }
+    let chunk = out.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        for (idx, span) in out.chunks_mut(chunk).enumerate() {
+            let score = &score;
+            scope.spawn(move || score(idx * chunk, span));
+        }
+    });
+}
+
+/// Multiply–accumulate count below which [`matvec_bias_into`] always runs
+/// serially: thread spawn/join overhead dwarfs the arithmetic. 2^18 ≈ a
+/// 64×64×64 product.
 const PAR_WORK_THRESHOLD: usize = 1 << 18;
 
-/// Worker threads for a product of the given multiply–accumulate count.
+/// Worker threads for a batched mat-vec of the given multiply–accumulate
+/// count.
 ///
 /// Resolution matches `evax-core`'s parallel substrate (this crate sits
 /// below it in the dependency DAG, so the policy is mirrored rather than
@@ -536,28 +547,88 @@ fn auto_threads(work: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// Splits a row-major output buffer into contiguous row ranges and runs
-/// `body(first_row, shard)` for each — on scoped worker threads when
-/// `threads > 1`, inline otherwise. Each output row is written by exactly
-/// one worker, so kernels that keep per-element accumulation order intact
-/// stay bit-identical to their serial form.
-fn shard_rows<F>(data: &mut [f32], cols: usize, threads: usize, body: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    let rows = data.len().checked_div(cols).unwrap_or(0);
-    let threads = threads.max(1).min(rows.max(1));
-    if threads <= 1 {
-        body(0, data);
+/// A left operand read through strides: element `(i, p)` is
+/// `data[i * row_stride + p * col_stride]`. A row-major matrix has strides
+/// `(cols, 1)`; its transpose, read in place, has `(1, cols)`.
+#[derive(Clone, Copy)]
+struct Strided<'a> {
+    data: &'a [f32],
+    row_stride: usize,
+    col_stride: usize,
+}
+
+impl Strided<'_> {
+    #[inline]
+    fn at(&self, i: usize, p: usize) -> f32 {
+        self.data[i * self.row_stride + p * self.col_stride]
+    }
+}
+
+/// The one product kernel: `out += a · b`, for an `m × k` left operand `a`,
+/// a row-major `k × n` right operand `b` (`k = b.len() / n`) and a zeroed
+/// row-major `m × n` output (`m = out.len() / n`).
+///
+/// i-k-j order with 4-row blocking: each load of a `b` row feeds four
+/// output rows, and every output element still sums its terms from +0.0
+/// in ascending `p` — bitwise the plain i-k-j loop. With `skip_zero`, a
+/// term whose left factor is `0.0` is skipped, exactly as that loop's
+/// `if a == 0.0 { continue }` would.
+fn gemm(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32], skip_zero: bool) {
+    if n == 0 {
         return;
     }
-    let chunk_rows = rows.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (shard_idx, shard) in data.chunks_mut(chunk_rows * cols).enumerate() {
-            let body = &body;
-            scope.spawn(move || body(shard_idx * chunk_rows, shard));
+    let mut blocks = out.chunks_exact_mut(4 * n);
+    let mut i = 0;
+    for block in blocks.by_ref() {
+        let (o0, rest) = block.split_at_mut(n);
+        let (o1, rest) = rest.split_at_mut(n);
+        let (o2, o3) = rest.split_at_mut(n);
+        for (p, b_row) in b.chunks_exact(n).enumerate() {
+            let f = [a.at(i, p), a.at(i + 1, p), a.at(i + 2, p), a.at(i + 3, p)];
+            if skip_zero && f.contains(&0.0) {
+                for (o, fq) in [
+                    (&mut *o0, f[0]),
+                    (&mut *o1, f[1]),
+                    (&mut *o2, f[2]),
+                    (&mut *o3, f[3]),
+                ] {
+                    if fq != 0.0 {
+                        axpy(o, fq, b_row);
+                    }
+                }
+                continue;
+            }
+            let rows = o0
+                .iter_mut()
+                .zip(o1.iter_mut())
+                .zip(o2.iter_mut())
+                .zip(o3.iter_mut());
+            for ((((x0, x1), x2), x3), &bv) in rows.zip(b_row) {
+                *x0 += f[0] * bv;
+                *x1 += f[1] * bv;
+                *x2 += f[2] * bv;
+                *x3 += f[3] * bv;
+            }
         }
-    });
+        i += 4;
+    }
+    for o in blocks.into_remainder().chunks_exact_mut(n) {
+        for (p, b_row) in b.chunks_exact(n).enumerate() {
+            let f = a.at(i, p);
+            if !(skip_zero && f == 0.0) {
+                axpy(o, f, b_row);
+            }
+        }
+        i += 1;
+    }
+}
+
+/// `out += f * b`, element-wise.
+#[inline]
+fn axpy(out: &mut [f32], f: f32, b: &[f32]) {
+    for (o, &bv) in out.iter_mut().zip(b) {
+        *o += f * bv;
+    }
 }
 
 #[cfg(test)]
@@ -639,36 +710,34 @@ mod tests {
         assert!(!format!("{a:?}").is_empty());
     }
 
-    fn filled(rows: usize, cols: usize) -> Matrix {
-        let data = (0..rows * cols).map(|i| (i as f32 * 0.37).sin()).collect();
-        Matrix::from_vec(rows, cols, data)
-    }
-
     #[test]
-    fn threaded_products_match_serial_exactly() {
-        let a = filled(7, 130); // k spans two 64-wide tiles plus a remainder
-        let b = filled(130, 5);
-        let serial = a.matmul_threaded(&b, 1);
-        for threads in [2, 3, 16] {
-            assert_eq!(a.matmul_threaded(&b, threads), serial, "threads={threads}");
-        }
-        let t = filled(9, 6);
-        let u = filled(9, 4);
-        assert_eq!(t.matmul_tn_threaded(&u, 4), t.matmul_tn_threaded(&u, 1));
-        let p = filled(6, 9);
-        let q = filled(4, 9);
-        assert_eq!(p.matmul_nt_threaded(&q, 4), p.matmul_nt_threaded(&q, 1));
-    }
-
-    #[test]
-    fn threaded_products_handle_degenerate_shapes() {
+    fn products_handle_degenerate_shapes() {
         let a = Matrix::zeros(1, 3);
         let b = Matrix::zeros(3, 1);
-        assert_eq!(a.matmul_threaded(&b, 8), Matrix::zeros(1, 1));
+        assert_eq!(a.matmul(&b), Matrix::zeros(1, 1));
         let empty_rows = Matrix::zeros(0, 3);
-        assert_eq!(empty_rows.matmul_threaded(&b, 4), Matrix::zeros(0, 1));
+        assert_eq!(empty_rows.matmul(&b), Matrix::zeros(0, 1));
         let no_cols = Matrix::zeros(2, 0);
         let other = Matrix::zeros(0, 4);
-        assert_eq!(no_cols.matmul_threaded(&other, 4), Matrix::zeros(2, 4));
+        assert_eq!(no_cols.matmul(&other), Matrix::zeros(2, 4));
+        assert_eq!(no_cols.matmul_nt(&Matrix::zeros(3, 0)), Matrix::zeros(2, 3));
+        assert_eq!(
+            empty_rows.matmul_tn(&Matrix::zeros(0, 2)),
+            Matrix::zeros(3, 2)
+        );
+    }
+
+    #[test]
+    fn into_products_reuse_a_reshaped_buffer() {
+        let a = Matrix::from_rows(&[vec![1., 2.], vec![3., 4.]]);
+        let mut out = Matrix::full(5, 7, 9.0);
+        a.matmul_into(&a, &mut out);
+        assert_eq!(out, a.matmul(&a));
+        a.matmul_tn_into(&a, &mut out);
+        assert_eq!(out, a.matmul_tn(&a));
+        let mut t = Matrix::full(1, 1, 3.0);
+        a.matmul_nt_into(&a, &mut t, &mut out);
+        assert_eq!(out, a.matmul_nt(&a));
+        assert_eq!(t, a.transpose());
     }
 }

@@ -17,17 +17,49 @@ fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::from_vec(rows, cols, vals)
 }
 
-/// Reference product: the naive i-j-k triple loop, no blocking, no
-/// threading, no zero-skip shortcuts beyond accumulating in ascending-k
-/// order — the order the optimized kernels must reproduce exactly.
-fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows());
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    for i in 0..a.rows() {
-        for j in 0..b.cols() {
+/// A matrix whose entries mix ordinary values with exact `0.0` and `-0.0`
+/// (about one in four each), and, with `inf_at`, a `+inf` at that flat
+/// index (taken modulo the length).
+fn mat_with_zeros(rows: usize, cols: usize, seed: u64, inf_at: Option<usize>) -> Matrix {
+    let mut m = mat(rows, cols, seed);
+    let mut s = seed.rotate_left(17) | 1;
+    for v in m.as_mut_slice() {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        match s >> 61 {
+            0 | 1 => *v = 0.0,
+            2 => *v = -0.0,
+            _ => {}
+        }
+    }
+    if let (Some(at), len @ 1..) = (inf_at, m.as_slice().len()) {
+        m.as_mut_slice()[at % len] = f32::INFINITY;
+    }
+    m
+}
+
+/// Reference semantics of `a · b` (`a` is `m × k`, `b` is `k × n`, both read
+/// through `get`): each element sums from +0.0 in ascending `k`, skipping
+/// the terms whose left factor is `0.0` when `skip_zero` is set.
+fn reference_product(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
+    skip_zero: bool,
+) -> Matrix {
+    let mut out = Matrix::zeros(m, n);
+    for i in 0..m {
+        for j in 0..n {
             let mut acc = 0.0f32;
-            for k in 0..a.cols() {
-                acc += a.get(i, k) * b.get(k, j);
+            for p in 0..k {
+                let f = a(i, p);
+                if skip_zero && f == 0.0 {
+                    continue;
+                }
+                acc += f * b(p, j);
             }
             out.set(i, j, acc);
         }
@@ -35,45 +67,60 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+/// Element bits, so equality also pins NaN payloads and the sign of zero.
+fn bits(m: &Matrix) -> (usize, usize, Vec<u32>) {
+    let data = m.as_slice().iter().map(|v| v.to_bits()).collect();
+    (m.rows(), m.cols(), data)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Tentpole equivalence: the blocked/threaded kernels are **exactly**
-    /// (bit-for-bit) equal to the naive triple loop — f32 accumulation order
-    /// is preserved per output element, so no epsilon is needed. Thread
-    /// counts beyond the machine's cores are included on purpose.
+    /// `matmul` is bitwise the reference loop with the zero skip: k spans
+    /// up to two 64-wide tiles plus a remainder, row counts cover full
+    /// 4-row blocks and every remainder, and the `inf` in `b` makes a
+    /// skipped `0.0 * inf` term visible.
     #[test]
-    fn threaded_blocked_matmul_equals_naive_exactly(
-        r in 1usize..20, k in 1usize..90, c in 1usize..20, seed in 1u64..999
+    fn matmul_equals_reference_exactly(
+        r in 1usize..12, k in 1usize..131, c in 1usize..12, seed in 1u64..999,
+        inf in any::<bool>(), at in 0usize..2000
     ) {
-        let a = mat(r, k, seed);
-        let b = mat(k, c, seed ^ 0xBEEF);
-        let reference = naive_matmul(&a, &b);
-        for threads in [1usize, 2, 3, 8] {
-            prop_assert_eq!(&a.matmul_threaded(&b, threads), &reference, "threads={}", threads);
-        }
-        prop_assert_eq!(&a.matmul(&b), &reference);
+        let inf = inf.then_some(at);
+        let a = mat_with_zeros(r, k, seed, None);
+        let b = mat_with_zeros(k, c, seed ^ 0xBEEF, inf);
+        let reference = reference_product(r, k, c, |i, p| a.get(i, p), |p, j| b.get(p, j), true);
+        prop_assert_eq!(bits(&a.matmul(&b)), bits(&reference));
+        let mut out = Matrix::full(3, 3, 7.0);
+        a.matmul_into(&b, &mut out);
+        prop_assert_eq!(bits(&out), bits(&reference));
     }
 
-    /// Same exact-equality contract for the fused-transpose kernels.
+    /// `matmul_tn` is bitwise `self^T · other` by the reference loop with
+    /// the zero skip on `self`'s entries.
     #[test]
-    fn threaded_transpose_products_equal_serial_exactly(
-        r in 1usize..12, k in 1usize..12, c in 1usize..12, seed in 1u64..999
+    fn matmul_tn_equals_reference_exactly(
+        r in 1usize..131, k in 1usize..12, c in 1usize..12, seed in 1u64..999,
+        inf in any::<bool>(), at in 0usize..2000
     ) {
-        let a = mat(k, r, seed);
-        let b = mat(k, c, seed ^ 0x33);
-        let tn = a.matmul_tn_threaded(&b, 1);
-        for threads in [2usize, 5] {
-            prop_assert_eq!(&a.matmul_tn_threaded(&b, threads), &tn, "tn threads={}", threads);
-        }
-        prop_assert_eq!(&tn, &naive_matmul(&a.transpose(), &b));
-        let p = mat(r, k, seed ^ 0x77);
-        let q = mat(c, k, seed ^ 0x99);
-        let nt = p.matmul_nt_threaded(&q, 1);
-        for threads in [2usize, 5] {
-            prop_assert_eq!(&p.matmul_nt_threaded(&q, threads), &nt, "nt threads={}", threads);
-        }
-        prop_assert_eq!(&nt, &naive_matmul(&p, &q.transpose()));
+        let inf = inf.then_some(at);
+        let a = mat_with_zeros(r, k, seed, None);
+        let b = mat_with_zeros(r, c, seed ^ 0x33, inf);
+        let reference = reference_product(k, r, c, |i, p| a.get(p, i), |p, j| b.get(p, j), true);
+        prop_assert_eq!(bits(&a.matmul_tn(&b)), bits(&reference));
+    }
+
+    /// `matmul_nt` is bitwise `self · other^T` by the reference loop with
+    /// **no** skip: a `0.0` against the `inf` yields NaN.
+    #[test]
+    fn matmul_nt_equals_reference_exactly(
+        r in 1usize..12, k in 1usize..131, c in 1usize..12, seed in 1u64..999,
+        inf in any::<bool>(), at in 0usize..2000
+    ) {
+        let inf = inf.then_some(at);
+        let a = mat_with_zeros(r, k, seed, None);
+        let b = mat_with_zeros(c, k, seed ^ 0x77, inf);
+        let reference = reference_product(r, k, c, |i, p| a.get(i, p), |p, j| b.get(j, p), false);
+        prop_assert_eq!(bits(&a.matmul_nt(&b)), bits(&reference));
     }
 
     #[test]
@@ -262,10 +309,9 @@ proptest! {
         let mut layer = Dense::new(2, 2, Activation::Sigmoid, &mut rng);
         let x = mat(1, 2, seed ^ 0xE);
         let target = Matrix::from_row(&[0.3, 0.7]);
-        let y = layer.forward_train(&x);
-        let grad = Loss::Mse.gradient(&y, &target);
+        let grad = Loss::Mse.gradient(layer.forward_train(&x), &target);
         layer.backward(&grad);
-        let (gw, _) = layer.take_grads().unwrap();
+        let gw = layer.grads().unwrap().0.clone();
         let eps = 1e-2f32;
         let orig = layer.weights().get(i, j);
         layer.weights_mut().set(i, j, orig + eps);
