@@ -34,7 +34,7 @@ use evax_attacks::{
 use evax_core::collect::{collect_dataset, collect_program, CollectConfig};
 use evax_core::featurize::{CollectingSink, ProgramSource, WindowSource};
 use evax_core::gan::AmGanConfig;
-use evax_core::par::{self, Parallelism};
+use evax_core::par;
 use evax_core::pipeline::StageTimings;
 use evax_core::prelude::Sample;
 use evax_core::prelude::{
@@ -301,7 +301,7 @@ fn carrier_corpus(collect: &CollectConfig, norm: &Normalizer, seed: u64) -> Data
         .map(Spec::Benign)
         .chain((0..CARRIER_ATTACKS.len()).map(Spec::Composed))
         .collect();
-    let per_program = par::map(Parallelism::Auto, &specs, |spec| {
+    let per_program = par::map(collect.parallelism, &specs, |spec| {
         let (program, kind, class, budget) = match *spec {
             Spec::Benign(k) => {
                 let kind = CARRIER_KINDS[k];
@@ -371,7 +371,7 @@ fn evasive_corpus(
                 .wrapping_add(si as u64 * 7919),
         ));
     }
-    let per_program = par::map(Parallelism::Auto, &programs, |(program, class)| {
+    let per_program = par::map(collect.parallelism, &programs, |(program, class)| {
         collect_program(program, class.label(), collect, norm)
     });
     let mut ds = Dataset::new();

@@ -19,13 +19,13 @@ pub fn header(
     } else {
         "release"
     };
+    // The machine's size, recorded next to the run's setting; not a policy.
+    #[allow(clippy::disallowed_methods)]
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     Object::new()
         .field("bench", bench)
         .field("seed", seed)
-        .field(
-            "cores",
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-        )
+        .field("cores", cores)
         .field("threads", threads)
         .field("smoke", smoke)
         .field("profile", profile)

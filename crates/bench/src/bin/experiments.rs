@@ -9,12 +9,13 @@
 //! ```
 //!
 //! Experiments fan out across worker threads (`--threads`, default: all
-//! cores / `EVAX_THREADS`); every experiment derives its randomness from the
-//! shared seed alone, so reports are identical at any thread count and are
-//! printed in id order regardless of completion order. `--json` replaces the
-//! text reports with a machine-readable timing summary: wall-clock per
-//! experiment plus the trained pipeline's per-stage breakdown, and a
-//! `metrics` block from a metered defense pass (see
+//! cores / `EVAX_THREADS`); fan-outs inside an experiment worker run inline,
+//! so the flag bounds the whole process. Every experiment derives its
+//! randomness from the shared seed alone, so reports are identical at any
+//! thread count and are printed in id order regardless of completion order.
+//! `--json` replaces the text reports with a machine-readable timing
+//! summary: wall-clock per experiment plus the trained pipeline's per-stage
+//! breakdown, and a `metrics` block from a metered defense pass (see
 //! `evax_bench::obs_pass`) whose simulated quantities are byte-identical at
 //! any thread count. `--metrics-out` additionally writes that registry —
 //! wall-clock timers included — as JSONL.

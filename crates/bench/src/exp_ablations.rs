@@ -13,6 +13,7 @@ use evax_core::aml::{evaluate_aml, AmlConfig};
 use evax_core::dataset::{Dataset, Sample};
 use evax_core::detector::{Detector, DetectorKind};
 use evax_core::gan::{AmGan, AmGanConfig};
+use evax_core::metrics::Confusion;
 use evax_core::replicated::{pipeline_regions, ReplicatedDetector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -115,7 +116,7 @@ pub fn ablate_features(h: &Harness) -> String {
             &mut rng,
         );
         det.tune_for_class_coverage(&train, p.config.tpr_target);
-        let c = evax_core::metrics::Confusion::evaluate(&det, &eval_dim);
+        let c = Confusion::evaluate(&det, &eval_dim, h.parallelism);
         accs.push(c.accuracy());
         out.push_str(&format!(
             "{label:<21} | {:>20.3} | {:>6.3} | {:>6.4}\n",
@@ -178,7 +179,7 @@ pub fn ablate_asymmetry(h: &Harness) -> String {
             &mut rng,
         );
         det.tune_for_class_coverage(&p.train, p.config.tpr_target);
-        let acc = det.accuracy(&p.holdout);
+        let acc = Confusion::evaluate(&det, &p.holdout, h.parallelism).accuracy();
         results.push((gen_hidden, best, acc));
         out.push_str(&format!("{gen_hidden:>23} | {best:>15.5} | {acc:.3}\n"));
     }
@@ -222,7 +223,7 @@ pub fn ablate_replication(h: &Harness) -> String {
         "ensemble accuracy: any-vote {any_acc:.3}, quorum-2 {q2_acc:.3}, quorum-3 {q3_acc:.3} \
          (monolithic: {:.3})\n\
          (any-vote maximizes sensitivity at an FP cost; quorums trade it back)\n\n",
-        p.evax.accuracy(&p.holdout)
+        Confusion::evaluate(&p.evax, &p.holdout, h.parallelism).accuracy()
     ));
     out.push_str("suppressed region | ensemble TPR | monolithic TPR\n");
     let mut ensemble_min: f64 = 1.0;

@@ -183,7 +183,7 @@ pub fn fig15(h: &Harness) -> String {
         };
         let p = EvaxPipeline::run(&cfg, h.seed ^ interval);
         for (name, det) in [("EVAX", &p.evax), ("PerSpectron", &p.perspectron)] {
-            let c = Confusion::evaluate(det, &p.holdout);
+            let c = Confusion::evaluate(det, &p.holdout, h.parallelism);
             out.push_str(&format!(
                 "{:>8} | {:<11} | {:>9.4} | {:>9.4} | {:.3}\n",
                 interval,

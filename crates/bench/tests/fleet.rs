@@ -170,6 +170,7 @@ fn full_fleet_determinism_and_throughput_slow() {
     // The 5× batched-inference bar needs real cores to be meaningful; a
     // 1-core CI container can only measure substrate overhead (see
     // BENCH_stream.json's note for the same caveat).
+    #[allow(clippy::disallowed_methods)]
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let report = run_fleet_bench(&FleetBenchConfig {
         n_streams: 1024,

@@ -172,8 +172,7 @@ impl Detector {
 
     /// Batched scoring over a flat row-major batch of **extended** feature
     /// rows (built via [`Detector::transform_into`]): `out[i]` is
-    /// bit-identical to scoring row `i` alone, at any thread count
-    /// (`threads == 0` resolves automatically).
+    /// bit-identical to scoring row `i` alone, at any thread count.
     ///
     /// # Panics
     /// Panics if `rows.len() != out.len() * extended_dim()`.
@@ -303,29 +302,6 @@ impl Detector {
         q.classify_bits(&bits)
     }
 
-    /// Binary accuracy over a dataset.
-    pub fn accuracy(&self, dataset: &Dataset) -> f64 {
-        if dataset.is_empty() {
-            return 0.0;
-        }
-        let correct = dataset
-            .samples
-            .iter()
-            .filter(|s| self.classify_sample(s) == s.malicious)
-            .count();
-        correct as f64 / dataset.len() as f64
-    }
-
-    /// True-positive rate over the malicious samples of a dataset.
-    pub fn tpr(&self, dataset: &Dataset) -> f64 {
-        let malicious: Vec<_> = dataset.samples.iter().filter(|s| s.malicious).collect();
-        if malicious.is_empty() {
-            return 0.0;
-        }
-        let hit = malicious.iter().filter(|s| self.classify_sample(s)).count();
-        hit as f64 / malicious.len() as f64
-    }
-
     /// The deployed linear model behind this detector as a standalone
     /// trait-level object: perceptron weights plus the tuned threshold,
     /// over the extended feature space. The engineered-feature transform
@@ -403,6 +379,8 @@ impl ModelDetector for Detector {
 mod tests {
     use super::*;
     use crate::dataset::Sample;
+    use crate::metrics::Confusion;
+    use crate::par::Parallelism;
     use rand::SeedableRng;
 
     fn separable_dataset(rng: &mut impl Rng, n: usize) -> Dataset {
@@ -427,7 +405,23 @@ mod tests {
             &Default::default(),
             &mut rng,
         );
-        assert!(det.accuracy(&ds) > 0.97, "accuracy {}", det.accuracy(&ds));
+        let mut hand = Confusion::default();
+        for s in &ds.samples {
+            match (s.malicious, det.classify_sample(s)) {
+                (true, true) => hand.tp += 1,
+                (true, false) => hand.fn_ += 1,
+                (false, true) => hand.fp += 1,
+                (false, false) => hand.tn += 1,
+            }
+        }
+        for par in [
+            Parallelism::Fixed(1),
+            Parallelism::Fixed(3),
+            Parallelism::Auto,
+        ] {
+            assert_eq!(Confusion::evaluate(&det, &ds, par), hand, "{par:?}");
+        }
+        assert!(hand.accuracy() > 0.97, "accuracy {}", hand.accuracy());
     }
 
     #[test]
@@ -485,7 +479,7 @@ mod tests {
             &mut rng,
         );
         det.tune_above_benign(&ds, 0.999, 0.05);
-        let c = crate::metrics::Confusion::evaluate(&det, &ds);
+        let c = Confusion::evaluate(&det, &ds, Parallelism::serial());
         assert!(c.fpr() < 0.01, "fpr {}", c.fpr());
         assert!(c.tpr() > 0.98, "tpr {}", c.tpr());
     }
@@ -502,7 +496,8 @@ mod tests {
             &mut rng,
         );
         det.tune_for_tpr(&ds, 0.995);
-        assert!(det.tpr(&ds) >= 0.99, "tpr {}", det.tpr(&ds));
+        let tpr = Confusion::evaluate(&det, &ds, Parallelism::serial()).tpr();
+        assert!(tpr >= 0.99, "tpr {tpr}");
     }
 
     /// Data where feature presence (above the cut) carries the class — the

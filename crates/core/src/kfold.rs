@@ -193,8 +193,8 @@ fn run_fold(
                 attack_only.push(s.clone());
             }
             let model: &dyn evax_nn::detector::Detector = det;
-            let tpr = Confusion::evaluate_model(det, model, &attack_only).tpr();
-            let err = Confusion::evaluate_model(det, model, &test).error();
+            let tpr = Confusion::evaluate_model(det, model, &attack_only, cfg.parallelism).tpr();
+            let err = Confusion::evaluate_model(det, model, &test, cfg.parallelism).error();
             (tpr, err)
         };
         let (p_tpr, p_err) = triple(&perspectron);

@@ -19,28 +19,33 @@ pub struct Confusion {
 }
 
 impl Confusion {
-    /// Evaluates a detector over a dataset, fanning scoring out across the
-    /// machine's cores (counts are integer sums, so the result is identical
-    /// at any thread count).
-    pub fn evaluate(det: &Detector, ds: &Dataset) -> Confusion {
-        Self::evaluate_par(det, ds, Parallelism::Auto)
+    /// Evaluates a detector over a dataset within the caller's thread budget
+    /// (counts are integer sums, so the result is identical at any thread
+    /// count). The detector's own trait view scores each sample, so this is
+    /// [`Confusion::evaluate_model`] with `model = det`.
+    pub fn evaluate(det: &Detector, ds: &Dataset, parallelism: Parallelism) -> Confusion {
+        Self::evaluate_model(det, det, ds, parallelism)
     }
 
     /// Evaluates any trait-level model over a dataset: `transform` maps
     /// each sample's base features into the model's extended input space
     /// (see [`Detector::transform_into`]), and the verdict comes from the
     /// model's own [`evax_nn::detector::Detector::decide`]. With
-    /// `model = transform` (the concrete detector's own trait impl) this is
-    /// bit-identical to [`Confusion::evaluate`]; counts are integer sums,
-    /// so the result is identical at any thread count.
+    /// `model = transform` (the concrete detector's own trait impl) the
+    /// verdicts are bit-identical to [`Detector::classify`]. Scoring fans
+    /// out over `parallelism` in coarse chunks; counts are integer sums, so
+    /// the result is identical at any thread count.
     pub fn evaluate_model(
         transform: &Detector,
         model: &dyn evax_nn::detector::Detector,
         ds: &Dataset,
+        parallelism: Parallelism,
     ) -> Confusion {
+        // Coarse chunks: scoring one sample is cheap, so per-sample work
+        // items would be all queue traffic.
         const CHUNK: usize = 256;
         let chunks: Vec<&[crate::dataset::Sample]> = ds.samples.chunks(CHUNK).collect();
-        let partials = par::map(Parallelism::Auto, &chunks, |chunk| {
+        let partials = par::map(parallelism, &chunks, |chunk| {
             let mut c = Confusion::default();
             let mut extended = Vec::new();
             let mut scratch = evax_nn::DetectorScratch::new();
@@ -48,34 +53,6 @@ impl Confusion {
                 transform.transform_into(&s.features, &mut extended);
                 let verdict = model.classify(&extended, &mut scratch);
                 match (s.malicious, verdict) {
-                    (true, true) => c.tp += 1,
-                    (true, false) => c.fn_ += 1,
-                    (false, true) => c.fp += 1,
-                    (false, false) => c.tn += 1,
-                }
-            }
-            c
-        });
-        partials
-            .into_iter()
-            .fold(Confusion::default(), |a, b| Confusion {
-                tp: a.tp + b.tp,
-                tn: a.tn + b.tn,
-                fp: a.fp + b.fp,
-                fn_: a.fn_ + b.fn_,
-            })
-    }
-
-    /// [`Confusion::evaluate`] with an explicit thread policy.
-    pub fn evaluate_par(det: &Detector, ds: &Dataset, parallelism: Parallelism) -> Confusion {
-        // Coarse chunks: scoring one sample is cheap, so per-sample work
-        // items would be all queue traffic.
-        const CHUNK: usize = 256;
-        let chunks: Vec<&[crate::dataset::Sample]> = ds.samples.chunks(CHUNK).collect();
-        let partials = par::map(parallelism, &chunks, |chunk| {
-            let mut c = Confusion::default();
-            for s in *chunk {
-                match (s.malicious, det.classify_sample(s)) {
                     (true, true) => c.tp += 1,
                     (true, false) => c.fn_ += 1,
                     (false, true) => c.fp += 1,

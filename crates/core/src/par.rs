@@ -19,11 +19,30 @@
 //!    state, so its result does not depend on scheduling.
 //! 3. Results are merged back in item order, not completion order.
 //!
-//! Thread count resolution (highest priority first): explicit
+//! # Thread budget
+//!
+//! This module is the one place that decides how many threads run. Thread
+//! count resolution (highest priority first): explicit
 //! [`Parallelism::Fixed`], the `EVAX_THREADS` environment variable, then
 //! [`std::thread::available_parallelism`].
+//!
+//! Nested fan-outs run inline: [`map`] marks its worker threads, and a `map`
+//! called on one of them runs serially on that worker. The budget is
+//! therefore spent once, by the outermost fan-out with more than one item.
+//! `experiments fig19 --threads 4` fans out one experiment, which runs
+//! inline on the caller, so its folds get all 4 threads; `experiments all
+//! --threads 4` runs 4 experiment workers and everything inside them runs
+//! inline. Either way at most N `map` workers run at once. Inline execution
+//! is the serial path, so results stay bit-identical.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    /// Set on the worker threads [`map`] spawns; a nested `map` reads it and
+    /// runs inline.
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// How many worker threads a parallel stage may use.
 ///
@@ -48,6 +67,7 @@ impl Parallelism {
     }
 
     /// The concrete worker count this policy resolves to right now.
+    #[allow(clippy::disallowed_methods)] // the thread policy itself
     pub fn threads(self) -> usize {
         match self {
             Parallelism::Fixed(n) => n.max(1),
@@ -71,9 +91,11 @@ fn env_threads() -> Option<usize> {
 
 /// Maps `f` over `items`, returning results in item order.
 ///
-/// Runs serially when the policy resolves to one thread or there is at most
-/// one item; otherwise spawns scoped workers that pull item indices from an
-/// atomic queue. See the module docs for the determinism contract.
+/// Runs serially when called on another `map`'s worker thread, when the
+/// policy resolves to one thread, or when there is at most one item;
+/// otherwise spawns scoped workers that pull item indices from an atomic
+/// queue. See the module docs for the determinism contract and the thread
+/// budget.
 ///
 /// # Panics
 /// Propagates the first worker panic (the panicking closure's payload).
@@ -83,7 +105,11 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = par.threads().min(items.len().max(1));
+    let threads = if ON_WORKER.get() {
+        1
+    } else {
+        par.threads().min(items.len().max(1))
+    };
     if threads <= 1 {
         return items.iter().map(f).collect();
     }
@@ -93,6 +119,7 @@ where
     slots.resize_with(items.len(), || None);
 
     let worker = |queue: &AtomicUsize| {
+        ON_WORKER.set(true);
         let mut produced: Vec<(usize, R)> = Vec::new();
         loop {
             let idx = queue.fetch_add(1, Ordering::Relaxed);
@@ -188,6 +215,31 @@ mod tests {
             let parallel = map(Parallelism::Fixed(threads), &items, |&x| x * x);
             assert_eq!(parallel, serial, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn nested_map_runs_inline_on_the_outer_worker() {
+        let outer: Vec<u64> = (0..8).collect();
+        let inner: Vec<u64> = (0..32).collect();
+        let value = |o: u64, i: u64| o * 100 + i * i;
+        let main = std::thread::current().id();
+        let nested = map(Parallelism::Fixed(4), &outer, |&o| {
+            let worker = std::thread::current().id();
+            assert_ne!(worker, main, "the outer map must fan out");
+            let rows = map(Parallelism::Fixed(4), &inner, |&i| {
+                (std::thread::current().id(), value(o, i))
+            });
+            assert!(
+                rows.iter().all(|(id, _)| *id == worker),
+                "inner map left its worker"
+            );
+            rows.into_iter().map(|(_, v)| v).collect::<Vec<_>>()
+        });
+        let serial: Vec<Vec<u64>> = outer
+            .iter()
+            .map(|&o| inner.iter().map(|&i| value(o, i)).collect())
+            .collect();
+        assert_eq!(nested, serial);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::detector::Detector;
 use crate::feature_engineering::EngineeredFeature;
+use evax_nn::detector::{put_f32, put_u32, Cursor};
 
 /// Magic prefix identifying a detector patch blob.
 const MAGIC: &[u8; 4] = b"EVXP";
@@ -104,8 +105,8 @@ fn seal(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 14);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&fletcher32(payload).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    put_u32(&mut out, fletcher32(payload));
+    put_u32(&mut out, payload.len() as u32);
     out.extend_from_slice(payload);
     out
 }
@@ -126,80 +127,55 @@ impl DetectorPatch {
 
     fn encode_payload(&self) -> Vec<u8> {
         let mut p = Vec::new();
-        p.extend_from_slice(&self.revision.to_le_bytes());
-        p.extend_from_slice(&(self.base_dim as u32).to_le_bytes());
-        p.extend_from_slice(&(self.weights.len() as u32).to_le_bytes());
-        for w in &self.weights {
-            p.extend_from_slice(&w.to_le_bytes());
+        put_u32(&mut p, self.revision);
+        put_u32(&mut p, self.base_dim as u32);
+        put_u32(&mut p, self.weights.len() as u32);
+        for &w in &self.weights {
+            put_f32(&mut p, w);
         }
-        p.extend_from_slice(&self.bias.to_le_bytes());
-        p.extend_from_slice(&self.threshold.to_le_bytes());
-        p.extend_from_slice(&self.presence_cut.to_le_bytes());
-        p.extend_from_slice(&(self.engineered.len() as u32).to_le_bytes());
+        put_f32(&mut p, self.bias);
+        put_f32(&mut p, self.threshold);
+        put_f32(&mut p, self.presence_cut);
+        put_u32(&mut p, self.engineered.len() as u32);
         for f in &self.engineered {
-            let name = f.name.as_bytes();
-            p.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            p.extend_from_slice(name);
-            p.extend_from_slice(&(f.components.len() as u32).to_le_bytes());
+            put_u32(&mut p, f.name.len() as u32);
+            p.extend_from_slice(f.name.as_bytes());
+            put_u32(&mut p, f.components.len() as u32);
             for &c in &f.components {
-                p.extend_from_slice(&(c as u32).to_le_bytes());
+                put_u32(&mut p, c as u32);
             }
         }
         p
     }
 
-    fn decode_payload(p: &[u8]) -> Result<Self, PatchError> {
-        struct Reader<'a> {
-            buf: &'a [u8],
-            pos: usize,
-        }
-        impl<'a> Reader<'a> {
-            fn take(&mut self, n: usize) -> Result<&'a [u8], PatchError> {
-                let out = self
-                    .buf
-                    .get(self.pos..self.pos + n)
-                    .ok_or_else(|| PatchError::Malformed("truncated field".into()))?;
-                self.pos += n;
-                Ok(out)
-            }
-            fn u32(&mut self) -> Result<u32, PatchError> {
-                let b = self.take(4)?;
-                Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            }
-            fn f32(&mut self) -> Result<f32, PatchError> {
-                let b = self.take(4)?;
-                Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            }
-        }
-        let mut r = Reader { buf: p, pos: 0 };
+    /// Decodes a payload; the error is the [`PatchError::Malformed`] reason.
+    fn decode_payload(p: &[u8]) -> Result<Self, String> {
+        let mut r = Cursor::new(p);
         let revision = r.u32()?;
         let base_dim = r.u32()? as usize;
         let n_weights = r.u32()? as usize;
         if n_weights > 1 << 20 {
-            return Err(PatchError::Malformed("implausible weight count".into()));
+            return Err("implausible weight count".into());
         }
-        let mut weights = Vec::with_capacity(n_weights);
-        for _ in 0..n_weights {
-            weights.push(r.f32()?);
-        }
+        let weights = r.f32_vec(n_weights)?;
         let bias = r.f32()?;
         let threshold = r.f32()?;
         let presence_cut = r.f32()?;
         let n_eng = r.u32()? as usize;
         if n_eng > 1 << 12 {
-            return Err(PatchError::Malformed("implausible feature count".into()));
+            return Err("implausible feature count".into());
         }
         let mut engineered = Vec::with_capacity(n_eng);
         for _ in 0..n_eng {
             let name_len = r.u32()? as usize;
             if name_len > 4096 {
-                return Err(PatchError::Malformed("implausible name length".into()));
+                return Err("implausible name length".into());
             }
             let name = String::from_utf8(r.take(name_len)?.to_vec())
-                .map_err(|_| PatchError::Malformed("feature name not UTF-8".into()))?;
+                .map_err(|_| "feature name not UTF-8".to_string())?;
             let n_comp = r.u32()? as usize;
             if n_comp > 64 {
-                return Err(PatchError::Malformed("implausible component count".into()));
+                return Err("implausible component count".into());
             }
             let mut components = Vec::with_capacity(n_comp);
             for _ in 0..n_comp {
@@ -207,9 +183,7 @@ impl DetectorPatch {
             }
             engineered.push(EngineeredFeature { name, components });
         }
-        if r.pos != p.len() {
-            return Err(PatchError::Malformed("trailing payload bytes".into()));
-        }
+        r.done()?;
         Ok(DetectorPatch {
             revision,
             base_dim,
@@ -253,7 +227,7 @@ impl DetectorPatch {
         if fletcher32(payload) != checksum {
             return Err(PatchError::ChecksumMismatch);
         }
-        Self::decode_payload(payload)
+        Self::decode_payload(payload).map_err(PatchError::Malformed)
     }
 
     /// Instantiates the deployed detector this patch describes.

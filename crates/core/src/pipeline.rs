@@ -545,10 +545,12 @@ impl EvaxPipeline {
         Featurizer::new(self.normalizer.clone(), self.engineered.clone())
     }
 
-    /// Evaluates both detectors on the holdout split.
+    /// Evaluates both detectors on the holdout split, within the
+    /// collection stage's thread budget.
     pub fn evaluate_holdout(&self) -> HoldoutReport {
-        let c = Confusion::evaluate(&self.evax, &self.holdout);
-        let p = Confusion::evaluate(&self.perspectron, &self.holdout);
+        let par = self.config.collect.parallelism;
+        let c = Confusion::evaluate(&self.evax, &self.holdout, par);
+        let p = Confusion::evaluate(&self.perspectron, &self.holdout, par);
         HoldoutReport {
             accuracy: c.accuracy(),
             confusion: c,

@@ -118,7 +118,8 @@ pub trait Detector: std::fmt::Debug + Send + Sync {
 
     /// Batched scoring over a flat row-major slice of feature rows.
     /// `out[i]` is bit-identical to `score_into` on row `i` alone — scores
-    /// are independent of batch composition and of `threads` (`0` = auto).
+    /// are independent of batch composition and of `threads`, the caller's
+    /// worker count (`0` and `1` both run inline).
     ///
     /// # Panics
     /// Panics if `rows.len() != out.len() * n_features()`.
@@ -177,28 +178,39 @@ impl Clone for Box<dyn Detector> {
 }
 
 // ---------------------------------------------------------------------------
-// Little-endian byte-blob helpers shared by the serialization hooks.
+// Little-endian byte-blob helpers shared by the serialization hooks (and by
+// `evax-core`'s detector patches).
 // ---------------------------------------------------------------------------
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
+/// Appends `v` to a blob as 4 little-endian bytes.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_f32(out: &mut Vec<u8>, v: f32) {
+/// Appends `v` to a blob as its 4 little-endian IEEE-754 bytes.
+pub fn put_f32(out: &mut Vec<u8>, v: f32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) struct Cursor<'a> {
+/// A bounds-checked reader over a little-endian blob written with
+/// [`put_u32`] / [`put_f32`]. Every read fails with a message instead of
+/// panicking when the blob is too short.
+pub struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
         Cursor { bytes, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+    /// The next `n` raw bytes.
+    ///
+    /// # Errors
+    /// Fails if fewer than `n` bytes remain.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         let end = self
             .pos
             .checked_add(n)
@@ -213,7 +225,11 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, String> {
+    /// The next little-endian `u32`.
+    ///
+    /// # Errors
+    /// Fails if fewer than 4 bytes remain.
+    pub fn u32(&mut self) -> Result<u32, String> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
@@ -229,24 +245,41 @@ impl<'a> Cursor<'a> {
         Ok(self.u64()? as i64)
     }
 
-    pub(crate) fn f32(&mut self) -> Result<f32, String> {
+    /// The next little-endian `f32`.
+    ///
+    /// # Errors
+    /// Fails if fewer than 4 bytes remain.
+    pub fn f32(&mut self) -> Result<f32, String> {
         Ok(f32::from_bits(self.u32()?))
     }
 
-    fn i16(&mut self) -> Result<i16, String> {
-        let b = self.take(2)?;
-        Ok(i16::from_le_bytes([b[0], b[1]]))
+    fn i16_vec(&mut self, n: usize) -> Result<Vec<i16>, String> {
+        let bytes = self.take(n.saturating_mul(2))?;
+        Ok(bytes
+            .chunks_exact(2)
+            .map(|b| i16::from_le_bytes([b[0], b[1]]))
+            .collect())
     }
 
-    pub(crate) fn f32_vec(&mut self, n: usize) -> Result<Vec<f32>, String> {
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.f32()?);
-        }
-        Ok(v)
+    /// The next `n` little-endian `f32`s. The length is checked against the
+    /// remaining bytes before anything is allocated, so a corrupt count
+    /// cannot drive a large allocation.
+    ///
+    /// # Errors
+    /// Fails if fewer than `4·n` bytes remain.
+    pub fn f32_vec(&mut self, n: usize) -> Result<Vec<f32>, String> {
+        let bytes = self.take(n.saturating_mul(4))?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
     }
 
-    pub(crate) fn done(&self) -> Result<(), String> {
+    /// Succeeds only when every byte has been read.
+    ///
+    /// # Errors
+    /// Fails if bytes remain past the last read.
+    pub fn done(&self) -> Result<(), String> {
         if self.pos == self.bytes.len() {
             Ok(())
         } else {
@@ -532,10 +565,7 @@ impl Detector for QuantLinear {
 fn load_quant_linear(bytes: &[u8]) -> Result<QuantLinear, String> {
     let mut c = Cursor::new(bytes);
     let n = checked_dim(c.u32()?, "quantized weight")?;
-    let mut weights = Vec::with_capacity(n);
-    for _ in 0..n {
-        weights.push(c.i16()?);
-    }
+    let weights = c.i16_vec(n)?;
     let bias_q = c.i64()?;
     let threshold_q = c.i64()?;
     let w_scale = c.f32()?;
@@ -1161,5 +1191,14 @@ mod tests {
         let mut huge = blob;
         huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(load_detector("hw-perceptron", &huge).is_err());
+        // A plausible 2^24-weight header over an 8-byte body: rejected as
+        // truncated before the 64 MiB (f32) or 32 MiB (i16) weight vector is
+        // allocated.
+        let mut short = Vec::new();
+        put_u32(&mut short, 1 << 24);
+        short.extend_from_slice(&[0; 8]);
+        for kind in ["hw-perceptron", "quant-linear"] {
+            assert!(load_detector(kind, &short).is_err(), "{kind}");
+        }
     }
 }

@@ -83,8 +83,8 @@ impl HwPerceptron {
     }
 
     /// Batched scores over a flat row-major batch: `out[i]` becomes the
-    /// score of row `i`. Large batches fan out across worker threads
-    /// (`threads == 0` resolves automatically); each row is reduced with
+    /// score of row `i`. The batch splits across `threads` workers (`0`
+    /// and `1` both run inline); each row is reduced with
     /// exactly the accumulation chain [`HwPerceptron::score`] uses, so every
     /// entry is **bit-identical** to scoring that window alone — regardless
     /// of batch composition or thread count.

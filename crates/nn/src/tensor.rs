@@ -451,8 +451,10 @@ impl Matrix {
     }
 }
 
-/// Threaded batched mat-vec: `out[r] = rows[r] · w + bias` over a flat
-/// row-major batch (`out.len()` rows of `w.len()` features each).
+/// Batched mat-vec: `out[r] = rows[r] · w + bias` over a flat row-major
+/// batch (`out.len()` rows of `w.len()` features each), split across
+/// `threads` scoped workers (`0` and `1` both run inline). The caller picks
+/// the worker count; the crate has no thread policy of its own.
 ///
 /// Each row is reduced with the exact ascending-index
 /// `iter().zip().map().sum()` chain that `HwPerceptron::score` uses for a
@@ -461,9 +463,6 @@ impl Matrix {
 /// composition, batch size, and thread count. That property is what lets
 /// the fleet scheduler keep verdicts byte-identical across thread counts
 /// (see evax-defense). The `Matrix` products, by contrast, are serial.
-///
-/// `threads == 0` resolves automatically from the multiply–accumulate count
-/// (same work-size and `EVAX_THREADS` policy as `evax-core`'s `par`).
 ///
 /// # Panics
 /// Panics if `rows.len() != out.len() * w.len()`.
@@ -481,11 +480,6 @@ pub fn matvec_bias_into(rows: &[f32], w: &[f32], bias: f32, threads: usize, out:
         out.fill(bias);
         return;
     }
-    let threads = if threads == 0 {
-        auto_threads(out.len() * n)
-    } else {
-        threads
-    };
     score_spans(out, threads, |row0, span| {
         for (i, o) in span.iter_mut().enumerate() {
             let x = &rows[(row0 + i) * n..(row0 + i + 1) * n];
@@ -517,34 +511,6 @@ where
             scope.spawn(move || score(idx * chunk, span));
         }
     });
-}
-
-/// Multiply–accumulate count below which [`matvec_bias_into`] always runs
-/// serially: thread spawn/join overhead dwarfs the arithmetic. 2^18 ≈ a
-/// 64×64×64 product.
-const PAR_WORK_THRESHOLD: usize = 1 << 18;
-
-/// Worker threads for a batched mat-vec of the given multiply–accumulate
-/// count.
-///
-/// Resolution matches `evax-core`'s parallel substrate (this crate sits
-/// below it in the dependency DAG, so the policy is mirrored rather than
-/// imported): the `EVAX_THREADS` environment variable when set to a positive
-/// integer, else the machine's available parallelism.
-fn auto_threads(work: usize) -> usize {
-    if work < PAR_WORK_THRESHOLD {
-        return 1;
-    }
-    if let Ok(raw) = std::env::var("EVAX_THREADS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// A left operand read through strides: element `(i, p)` is

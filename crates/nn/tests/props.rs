@@ -212,7 +212,7 @@ proptest! {
         for (i, &s) in serial.iter().enumerate() {
             prop_assert_eq!(s, p.score(batch.row(i)), "row {} differs from score()", i);
         }
-        for threads in [2usize, 4, 16] {
+        for threads in [0usize, 2, 4, 16] {
             let mut out = vec![0.0f32; rows];
             p.score_batch_into(&batch, threads, &mut out);
             prop_assert_eq!(&out, &serial, "threads={}", threads);

@@ -7,6 +7,7 @@
 //! cargo run --release --example vendor_patch
 //! ```
 
+use evax::core::metrics::Confusion;
 use evax::core::patch::{DetectorPatch, PatchableDetector};
 use evax::core::prelude::{EvaxConfig, EvaxPipeline};
 use evax::sim::HPC_BASE_DIM;
@@ -14,18 +15,19 @@ use evax::sim::HPC_BASE_DIM;
 fn main() {
     // Factory firmware: a detector trained on launch-day attack classes.
     println!("training factory detector...");
-    let factory = EvaxPipeline::run(&EvaxConfig::small(), 100);
+    let cfg = EvaxConfig::small();
+    let factory = EvaxPipeline::run(&cfg, 100);
     let mut core = PatchableDetector::factory(factory.evax.clone(), HPC_BASE_DIM);
     println!(
         "deployed revision {} (holdout accuracy {:.3})",
         core.revision(),
-        core.detector().accuracy(&factory.holdout)
+        Confusion::evaluate(core.detector(), &factory.holdout, cfg.collect.parallelism).accuracy()
     );
 
     // A new attack campaign: the vendor retrains with fresh data and ships
     // revision 1.
     println!("\nvendor retraining on updated corpus...");
-    let updated = EvaxPipeline::run(&EvaxConfig::small(), 101);
+    let updated = EvaxPipeline::run(&cfg, 101);
     let blob = DetectorPatch::from_detector(&updated.evax, HPC_BASE_DIM, 1).to_bytes();
     println!(
         "patch blob: {} bytes (weights + engineered-HPC wiring + threshold)",
@@ -36,7 +38,7 @@ fn main() {
     println!(
         "applied revision {}; accuracy on the new corpus {:.3}",
         core.revision(),
-        core.detector().accuracy(&updated.holdout)
+        Confusion::evaluate(core.detector(), &updated.holdout, cfg.collect.parallelism).accuracy()
     );
 
     // Security properties of the update slot:
