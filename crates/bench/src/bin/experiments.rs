@@ -24,7 +24,7 @@ use std::process::ExitCode;
 
 use evax_bench::artifact::{header, threads, Object, Value};
 use evax_bench::cli::{self, Args};
-use evax_bench::{run_experiment, ExperimentScale, Harness, EXPERIMENT_IDS};
+use evax_bench::{experiment_ids, run_experiment, ExperimentScale, Harness};
 use evax_core::par::{self, Parallelism};
 use evax_sim::snapshot::Fnv1a;
 
@@ -51,17 +51,18 @@ fn run() -> Result<(), ExitCode> {
     let mut ids = opts.ids;
     if ids.is_empty() || ids.iter().any(|i| i == "help" || i == "--help") {
         eprintln!("usage: {USAGE}");
-        eprintln!("ids: {} | all | list", EXPERIMENT_IDS.join(" "));
+        let known: Vec<&str> = experiment_ids().collect();
+        eprintln!("ids: {} | all | list", known.join(" "));
         return Err(ExitCode::FAILURE);
     }
     if ids.iter().any(|i| i == "list") {
-        for id in EXPERIMENT_IDS {
+        for id in experiment_ids() {
             println!("{id}");
         }
         return Ok(());
     }
     if ids.iter().any(|i| i == "all") {
-        ids = EXPERIMENT_IDS.iter().map(|s| s.to_string()).collect();
+        ids = experiment_ids().map(String::from).collect();
     }
 
     let harness = Harness::new(seed, opts.scale, parallelism);
@@ -172,9 +173,6 @@ fn json_summary(
         .zip(results)
         .map(|(id, (result, secs))| experiment_entry(id, result, *secs))
         .collect();
-    // Simulator throughput baseline (event-driven vs scan scheduling on the
-    // registry mix) — the perf trajectory future PRs compare against.
-    let sim = evax_bench::exp_sim::measure(harness.seed, harness.scale);
     let stages = harness.stage_timings().map(|t| {
         Object::new()
             .fixed("collect_secs", t.collect_secs, 3)
@@ -192,10 +190,6 @@ fn json_summary(
             },
         )
         .field("experiments", experiments)
-        .fixed("sim_instrs_per_sec", sim.event_ips(), 0)
-        .fixed("sim_scan_instrs_per_sec", sim.scan_ips(), 0)
-        .fixed("sim_speedup", sim.speedup(), 3)
-        .field("sim_committed_instrs", sim.committed)
         .field("pipeline_stages", stages)
         // Deterministic metrics from the metered defense pass: sorted keys,
         // integer values, wall-clock timers excluded — byte-identical at any

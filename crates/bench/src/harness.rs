@@ -90,10 +90,10 @@ impl ExperimentScale {
 }
 
 /// Runs `f` and returns its result together with elapsed wall-clock
-/// seconds. The one timing primitive the bench crate uses — experiment
-/// fan-out, simulator throughput, RSS probes and the fleet service all call
-/// this instead of hand-rolling `Instant` pairs that can drift apart in
-/// what they measure.
+/// seconds. The one timing primitive the bench crate uses: the experiment
+/// runner's per-experiment `secs` and the `fleet` binary's wall-clock and
+/// drain figures both come from here. They are single-run figures with no
+/// spread; repeated host-time measurement lives in `perfbench`.
 pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let started = std::time::Instant::now();
     let result = f();

@@ -28,73 +28,83 @@ pub mod exp_gan;
 pub mod exp_hpc;
 pub mod exp_perf;
 pub mod exp_robust;
-pub mod exp_sim;
 pub mod exp_tables;
 pub mod exp_zeroday;
 pub mod fault_matrix;
-pub mod ff_bench;
 pub mod fleet_bench;
 pub mod harness;
 pub mod obs_pass;
 pub mod obs_report;
-pub mod stream_bench;
 pub mod zeroday_bench;
 
 pub use harness::{ExperimentScale, Harness};
 
-/// All experiment ids, in the order `all` runs them.
-pub const EXPERIMENT_IDS: &[&str] = &[
-    "table2",
-    "table1",
-    "fig6",
-    "fig7",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "fig20",
-    "zeroday",
-    "ablate-rob",
-    "ablate-features",
-    "ablate-asymmetry",
-    "ablate-replication",
-    "sim-throughput",
+/// An experiment: builds its report from the shared harness.
+pub type Experiment = fn(&Harness) -> String;
+
+/// Every experiment id with the function that produces its report, in the
+/// order `all` runs them.
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("table2", |_| exp_tables::table2()),
+    ("table1", exp_tables::table1),
+    ("fig6", exp_gan::fig6),
+    ("fig7", exp_gan::fig7),
+    ("fig9", exp_hpc::fig9),
+    ("fig10", exp_hpc::fig10),
+    ("fig11", exp_hpc::fig11),
+    ("fig14", exp_perf::fig14),
+    ("fig15", exp_perf::fig15),
+    ("fig16", exp_perf::fig16),
+    ("fig17", exp_robust::fig17),
+    ("fig18", exp_robust::fig18),
+    ("fig19", exp_zeroday::fig19),
+    ("fig20", exp_zeroday::fig20),
+    ("zeroday", exp_zeroday::zeroday),
+    ("ablate-rob", exp_ablations::ablate_rob),
+    ("ablate-features", exp_ablations::ablate_features),
+    ("ablate-asymmetry", exp_ablations::ablate_asymmetry),
+    ("ablate-replication", exp_ablations::ablate_replication),
 ];
+
+/// The experiment ids, in table order.
+pub fn experiment_ids() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS.iter().map(|&(id, _)| id)
+}
 
 /// Dispatches one experiment by id.
 ///
 /// # Errors
 /// Returns an error string for unknown ids.
 pub fn run_experiment(id: &str, harness: &Harness) -> Result<String, String> {
-    match id {
-        "table1" => Ok(exp_tables::table1(harness)),
-        "table2" => Ok(exp_tables::table2()),
-        "fig6" => Ok(exp_gan::fig6(harness)),
-        "fig7" => Ok(exp_gan::fig7(harness)),
-        "fig9" => Ok(exp_hpc::fig9(harness)),
-        "fig10" => Ok(exp_hpc::fig10(harness)),
-        "fig11" => Ok(exp_hpc::fig11(harness)),
-        "fig14" => Ok(exp_perf::fig14(harness)),
-        "fig15" => Ok(exp_perf::fig15(harness)),
-        "fig16" => Ok(exp_perf::fig16(harness)),
-        "fig17" => Ok(exp_robust::fig17(harness)),
-        "fig18" => Ok(exp_robust::fig18(harness)),
-        "fig19" => Ok(exp_zeroday::fig19(harness)),
-        "fig20" => Ok(exp_zeroday::fig20(harness)),
-        "zeroday" => Ok(exp_zeroday::zeroday(harness)),
-        "ablate-rob" => Ok(exp_ablations::ablate_rob(harness)),
-        "ablate-features" => Ok(exp_ablations::ablate_features(harness)),
-        "ablate-asymmetry" => Ok(exp_ablations::ablate_asymmetry(harness)),
-        "ablate-replication" => Ok(exp_ablations::ablate_replication(harness)),
-        "sim-throughput" => Ok(exp_sim::sim_throughput(harness)),
-        other => Err(format!(
-            "unknown experiment '{other}'; known: {}",
-            EXPERIMENT_IDS.join(", ")
+    match EXPERIMENTS.iter().find(|&&(known, _)| known == id) {
+        Some(&(_, run)) => Ok(run(harness)),
+        None => Err(format!(
+            "unknown experiment '{id}'; known: {}",
+            experiment_ids().collect::<Vec<_>>().join(", ")
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn experiment_ids_are_unique_and_sim_throughput_is_gone() {
+        let ids: Vec<&str> = experiment_ids().collect();
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), ids.len(), "duplicate id in {ids:?}");
+        assert_eq!(ids.len(), 19);
+        let harness = Harness::new(7, ExperimentScale::Small, Default::default());
+        let err = run_experiment("sim-throughput", &harness).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "unknown experiment 'sim-throughput'; known: {}",
+                ids.join(", ")
+            )
+        );
     }
 }

@@ -168,8 +168,7 @@ fn full_fleet_determinism_and_throughput_slow() {
     assert_eq!(one, json_at(16), "full fleet: 1 vs 16 threads diverged");
 
     // The 5× batched-inference bar needs real cores to be meaningful; a
-    // 1-core CI container can only measure substrate overhead (see
-    // BENCH_stream.json's note for the same caveat).
+    // 1-core CI container can only measure substrate overhead.
     #[allow(clippy::disallowed_methods)]
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let report = run_fleet_bench(&FleetBenchConfig {

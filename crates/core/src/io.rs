@@ -160,27 +160,29 @@ pub fn read_normalizer<R: Read>(r: R) -> Result<Normalizer> {
     let mut reader = BufReader::new(r);
     let mut line = String::new();
     reader.read_line(&mut line)?;
-    let maxes: Result<Vec<f64>> = line
-        .trim()
+    let maxes = parse_maxima(&line, 1, "normalizer maxima")?;
+    let mut norm = Normalizer::new(maxes.len());
+    norm.observe(&maxes);
+    Ok(norm)
+}
+
+/// Parses a comma-separated row of normalizer maxima, blaming 1-based line
+/// `ln` on a malformed field. A NaN/Inf maximum parses fine but silently
+/// zeroes (or NaNs) every deployment-time feature, so it is rejected as
+/// corruption of `what`.
+fn parse_maxima(row: &str, ln: usize, what: &str) -> Result<Vec<f64>> {
+    row.trim()
         .split(',')
         .map(|f| {
             let v = f
                 .parse::<f64>()
-                .map_err(|e| EvaxError::parse(1, format!("bad max '{f}': {e}")))?;
+                .map_err(|e| EvaxError::parse(ln, format!("bad max '{f}': {e}")))?;
             if !v.is_finite() {
-                return Err(EvaxError::corrupt(
-                    "normalizer maxima",
-                    "finite values",
-                    format!("'{f}'"),
-                ));
+                return Err(EvaxError::corrupt(what, "finite values", format!("'{f}'")));
             }
             Ok(v)
         })
-        .collect();
-    let maxes = maxes?;
-    let mut norm = Normalizer::new(maxes.len());
-    norm.observe(&maxes);
-    Ok(norm)
+        .collect()
 }
 
 /// Magic first line of the legacy (pre-schema) featurizer text format.
@@ -332,25 +334,7 @@ where
         .ok_or_else(|| EvaxError::parse(ln, format!("bad dimension row '{}'", dims.trim())))?;
 
     let (ln, maxima_row) = next("normalizer maxima")?;
-    let maxima: Vec<f64> = maxima_row
-        .trim()
-        .split(',')
-        .map(|f| {
-            let v = f
-                .parse::<f64>()
-                .map_err(|e| EvaxError::parse(ln, format!("bad max '{f}': {e}")))?;
-            // A NaN/Inf maximum parses fine but silently zeroes (or NaNs)
-            // every deployment-time feature: reject it as corruption.
-            if !v.is_finite() {
-                return Err(EvaxError::corrupt(
-                    "featurizer maxima",
-                    "finite values",
-                    format!("'{f}'"),
-                ));
-            }
-            Ok(v)
-        })
-        .collect::<Result<_>>()?;
+    let maxima = parse_maxima(maxima_row, ln, "featurizer maxima")?;
     if maxima.len() != base_dim {
         return Err(EvaxError::corrupt(
             "featurizer maxima row",
@@ -359,7 +343,9 @@ where
         ));
     }
 
-    let mut engineered = Vec::with_capacity(n_eng);
+    // `n_eng` comes from the file: grow as rows arrive rather than trusting
+    // it as an allocation size.
+    let mut engineered = Vec::new();
     for _ in 0..n_eng {
         let (ln, row) = next("engineered feature")?;
         let (name, comps) = row.trim_end().split_once('|').ok_or_else(|| {
@@ -585,11 +571,16 @@ fn parse_hex(hex: &str, ln: usize) -> Result<Vec<u8>> {
     if !hex.len().is_multiple_of(2) {
         return Err(EvaxError::parse(ln, "odd-length hex payload"));
     }
-    (0..hex.len() / 2)
-        .map(|i| {
-            u8::from_str_radix(&hex[2 * i..2 * i + 2], 16)
-                .map_err(|e| EvaxError::parse(ln, format!("bad hex byte: {e}")))
-        })
+    // Decode bytewise: slicing the `str` would panic inside a multi-byte
+    // character.
+    let nibble = |c: u8| {
+        char::from(c)
+            .to_digit(16)
+            .ok_or_else(|| EvaxError::parse(ln, format!("non-hex byte 0x{c:02x}")))
+    };
+    hex.as_bytes()
+        .chunks_exact(2)
+        .map(|pair| Ok((nibble(pair[0])? * 16 + nibble(pair[1])?) as u8))
         .collect()
 }
 
@@ -813,6 +804,38 @@ mod tests {
         let shorter = text.replacen("4,2", "5,2", 1);
         let err = read_featurizer(shorter.as_bytes()).unwrap_err();
         assert!(matches!(err, EvaxError::Corrupt { .. }), "{err}");
+    }
+
+    #[test]
+    fn huge_engineered_count_is_a_parse_error_not_an_abort() {
+        // The count is only a promise: a short file runs out of rows.
+        for dims in ["2,100000000000000", "2,18446744073709551615"] {
+            let text = format!("{FEATURIZER_HEADER}\n{dims}\n1,1\n");
+            let err = read_featurizer(text.as_bytes()).unwrap_err();
+            assert!(matches!(err, EvaxError::Parse { .. }), "{err}");
+            assert!(
+                err.to_string().contains("missing engineered feature"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_ascii_hex_payload_is_a_parse_error_on_its_line() {
+        let (_, _, text) = sample_model_text();
+        let patch_ln = text.lines().position(|l| l.starts_with("patch ")).unwrap() + 1;
+        let patch_row = text.lines().nth(patch_ln - 1).unwrap();
+        // An even byte count that splits the two-byte 'é' across hex pairs.
+        let bad = text.replacen(patch_row, "patch a\u{e9}0", 1);
+        match read_model(bad.as_bytes()) {
+            Err(EvaxError::Parse { line, .. }) => assert_eq!(line, patch_ln),
+            other => panic!("expected Parse on line {patch_ln}, got {other:?}"),
+        }
+        let bad = format!("{text}hardened hw-perceptron a\u{e9}0\n");
+        match read_model(bad.as_bytes()) {
+            Err(EvaxError::Parse { line, .. }) => assert_eq!(line, patch_ln + 1),
+            other => panic!("expected Parse on line {}, got {other:?}", patch_ln + 1),
+        }
     }
 
     fn sample_model_text() -> (Detector, Featurizer, String) {

@@ -13,6 +13,8 @@
 //!   drift test quantifies it across the full registry and asserts the
 //!   per-program verdict flip rate stays bounded (same spirit as
 //!   `QuantLinear`'s agreement bound).
+//! * The functional mode must stay much faster than the detailed core it
+//!   approximates, or fast-forwarding buys nothing.
 
 use evax::attacks::benign::Scale;
 use evax::attacks::{
@@ -507,5 +509,50 @@ fn fast_forward_verdict_drift_is_bounded_slow() {
     assert!(
         flip_rate <= 0.25,
         "fast-forward verdict flip rate {flip_rate:.3} exceeds bound 0.25: {flips:?}"
+    );
+}
+
+/// Retired instructions per second of `mix` on fresh cores, in functional
+/// (`detailed == false`) or detailed mode: the fastest of `reps` passes,
+/// the noise-robust estimate on a shared machine.
+fn mix_ips(mix: &[Program], max_instrs: u64, detailed: bool, reps: u32) -> f64 {
+    let mut instrs = 0u64;
+    let mut best_secs = f64::INFINITY;
+    for _ in 0..reps {
+        let started = std::time::Instant::now();
+        instrs = mix
+            .iter()
+            .map(|program| {
+                let mut cpu = fresh_cpu();
+                if detailed {
+                    cpu.run(program, max_instrs).committed_instructions
+                } else {
+                    cpu.fast_forward(program, max_instrs)
+                }
+            })
+            .sum();
+        best_secs = best_secs.min(started.elapsed().as_secs_f64());
+    }
+    assert!(instrs > 0, "the mix retired nothing");
+    instrs as f64 / best_secs.max(1e-9)
+}
+
+#[test]
+fn functional_mode_is_much_faster_than_detailed_on_a_slice() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let params = KernelParams {
+        iterations: 24,
+        ..Default::default()
+    };
+    let slice: Vec<Program> = ATTACK_CLASSES[..4]
+        .iter()
+        .map(|&class| build_attack(class, &params, &mut rng))
+        .collect();
+    mix_ips(&slice, 20_000, false, 1);
+    let functional = mix_ips(&slice, 20_000, false, 2);
+    let detailed = mix_ips(&slice, 20_000, true, 1);
+    assert!(
+        functional > 3.0 * detailed,
+        "functional {functional:.0} ips vs detailed {detailed:.0} ips"
     );
 }
