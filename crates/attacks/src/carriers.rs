@@ -25,7 +25,7 @@
 //! land on any instruction of any segment without corrupting it.
 
 use evax_sim::isa::{AluOp, Op, Program, ProgramBuilder, Reg};
-use evax_sim::{DeviceConfig, DmaConfig, DMA_DST_BASE, DMA_LINE_BYTES};
+use evax_sim::{DeviceConfig, DmaConfig, TimerConfig, DMA_DST_BASE, DMA_LINE_BYTES};
 use rand::Rng;
 
 use crate::benign::Scale;
@@ -89,25 +89,31 @@ impl CarrierKind {
     /// program itself is valid under any configuration (including devices
     /// off); this is the pairing the benches evaluate.
     pub fn device_config(self) -> DeviceConfig {
-        let b = DeviceConfig::builder().enabled(true);
+        let on = DeviceConfig {
+            enabled: true,
+            ..DeviceConfig::default()
+        };
+        let timer = |period| DeviceConfig {
+            timer: TimerConfig { period },
+            ..on
+        };
+        let dma = |dma| DeviceConfig { dma, ..on };
         match self {
-            CarrierKind::TimerTicker => b.timer_period(600),
-            CarrierKind::IrqScheduler => b.timer_period(350),
-            CarrierKind::DmaStreamer => b.dma(DmaConfig {
+            CarrierKind::TimerTicker => timer(600),
+            CarrierKind::IrqScheduler => timer(350),
+            CarrierKind::DmaStreamer => dma(DmaConfig {
                 period: 96,
                 burst_lines: 4,
                 region_lines: 128,
                 irq_every: 0,
             }),
-            CarrierKind::DmaIrqConsumer => b.dma(DmaConfig {
+            CarrierKind::DmaIrqConsumer => dma(DmaConfig {
                 period: 128,
                 burst_lines: 2,
                 region_lines: 64,
                 irq_every: 2,
             }),
         }
-        .build()
-        .expect("carrier device configs are valid by construction")
     }
 }
 

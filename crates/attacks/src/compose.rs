@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn irq_handlers_are_rebased_and_stay_live_across_segments() {
-        use evax_sim::DeviceConfig;
+        use evax_sim::{DeviceConfig, TimerConfig};
         let r = |i| Reg::new(i);
         // Segment A installs a vector-0 tick handler; segment B is a plain
         // busy loop. The handler must keep servicing fires while B runs.
@@ -276,11 +276,11 @@ mod tests {
         let p = compose(&[pa.clone(), pb]).unwrap();
         assert_eq!(p.irq_handler(0), Some(expected), "handler target rebased");
         let cfg = evax_sim::CpuConfig {
-            devices: DeviceConfig::builder()
-                .enabled(true)
-                .timer_period(300)
-                .build()
-                .unwrap(),
+            devices: DeviceConfig {
+                enabled: true,
+                timer: TimerConfig { period: 300 },
+                ..Default::default()
+            },
             ..evax_sim::CpuConfig::default()
         };
         let mut cpu = Cpu::new(cfg);

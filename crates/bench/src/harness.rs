@@ -202,4 +202,32 @@ mod tests {
         assert!(f.gan.epochs > s.gan.epochs);
         assert!(ExperimentScale::Full.perf_instrs() > ExperimentScale::Small.perf_instrs());
     }
+
+    /// Every preset the repo ships passes the check its consumer runs, so
+    /// no shipped entry point panics on its own defaults.
+    #[test]
+    fn every_shipped_config_validates() {
+        for cfg in [
+            EvaxConfig::default(),
+            EvaxConfig::small(),
+            ExperimentScale::Small.evax_config(),
+            ExperimentScale::Full.evax_config(),
+        ] {
+            cfg.validate().unwrap();
+        }
+        evax_defense::fleet::FleetConfig::default()
+            .adaptive
+            .validate()
+            .unwrap();
+        let energy = evax_sim::SensorConfig {
+            energy: true,
+            ..Default::default()
+        };
+        energy.validate().unwrap();
+        for kind in evax_attacks::CARRIER_KINDS {
+            kind.device_config()
+                .validate()
+                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+        }
+    }
 }

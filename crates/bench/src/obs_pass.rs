@@ -116,12 +116,11 @@ pub fn obs_pass(seed: u64, parallelism: Parallelism, programs: &[ObsProgram]) ->
     );
 
     let cpu_cfg = CpuConfig::default();
-    let adaptive_cfg = AdaptiveConfig::builder()
-        .sample_interval(SAMPLE_INTERVAL)
-        .secure_window(2_000)
-        .policy(Policy::FenceSpectre)
-        .build()
-        .unwrap_or_else(|e| unreachable!("static config validates: {e}"));
+    let adaptive_cfg = AdaptiveConfig {
+        sample_interval: SAMPLE_INTERVAL,
+        secure_window: 2_000,
+        policy: Policy::FenceSpectre,
+    };
 
     for (i, prog) in programs.iter().enumerate() {
         let label = prog.label();

@@ -548,10 +548,10 @@ fn benign_pool(cfg: &ZerodayConfig, cpu_cfg: &CpuConfig, pool: u64) -> Vec<Vec<f
 /// device tail length is independent of which sources are armed).
 fn carrier_cpu_cfg(kind: evax_attacks::CarrierKind) -> CpuConfig {
     CpuConfig {
-        sensor: SensorConfig::builder()
-            .energy(true)
-            .build()
-            .expect("default sensor weights validate"),
+        sensor: SensorConfig {
+            energy: true,
+            ..Default::default()
+        },
         devices: kind.device_config(),
         ..CpuConfig::default()
     }
@@ -588,10 +588,10 @@ fn clean_category(which: CarrierAttack) -> &'static str {
 /// Runs the full benign-only training + held-out category evaluation.
 pub fn run_zeroday(cfg: &ZerodayConfig) -> ZerodayReport {
     let cpu_cfg = CpuConfig {
-        sensor: SensorConfig::builder()
-            .energy(true)
-            .build()
-            .expect("default sensor weights validate"),
+        sensor: SensorConfig {
+            energy: true,
+            ..Default::default()
+        },
         ..CpuConfig::default()
     };
     let full_dim = evax_sim::dim_for(&cpu_cfg);

@@ -3,10 +3,11 @@
 //! to act on without a debugger.
 //!
 //! Fallible APIs return [`Result`], the crate-wide alias. Simulation and
-//! training entry points stay infallible by design — their inputs are
-//! validated configurations (see the builders, e.g.
-//! [`crate::pipeline::EvaxConfig::builder`]), so the fallible edge is
-//! configuration building plus persistence ([`crate::io`]).
+//! training entry points stay infallible by design: each checks its
+//! configuration up front (e.g. [`crate::pipeline::EvaxPipeline::run`]
+//! through [`crate::pipeline::EvaxConfig::validate`]) and panics naming the
+//! offending field, so the fallible edge is configuration validation plus
+//! persistence ([`crate::io`]).
 
 use std::path::PathBuf;
 
@@ -47,7 +48,7 @@ pub enum EvaxError {
         /// What was found.
         got: String,
     },
-    /// An invalid configuration rejected by a builder's validation.
+    /// An invalid configuration rejected by a `validate()` check.
     Config {
         /// Which field or combination is invalid.
         what: String,

@@ -989,10 +989,10 @@ mod tests {
 
     fn energy_cfg() -> evax_sim::CpuConfig {
         evax_sim::CpuConfig {
-            sensor: evax_sim::SensorConfig::builder()
-                .energy(true)
-                .build()
-                .unwrap(),
+            sensor: evax_sim::SensorConfig {
+                energy: true,
+                ..Default::default()
+            },
             ..evax_sim::CpuConfig::default()
         }
     }

@@ -66,9 +66,10 @@
 //!
 //! The *stable* surface is what [`prelude`] re-exports: the dataset types,
 //! the detector, the streaming featurization entry points, persistence, the
-//! error model, the parallelism switch and the pipeline configs with their
-//! builders. Items reachable only through module paths (layer internals,
-//! loss plumbing, the GAN's training internals) are *internal*: public for
+//! error model, the parallelism switch and the pipeline configs (plain
+//! structs, checked by `EvaxConfig::validate` when a run starts). Items
+//! reachable only through module paths (layer internals, loss plumbing,
+//! the GAN's training internals) are *internal*: public for
 //! reproduction scripts and tests, but free to change between minor
 //! versions. New code should import from the prelude; if something you need
 //! is missing there, treat that as an API request, not an invitation to

@@ -55,14 +55,6 @@ impl Default for EvaxConfig {
 }
 
 impl EvaxConfig {
-    /// A validating builder starting from [`EvaxConfig::default`].
-    /// `builder().build()` is bit-compatible with `Default::default()`.
-    pub fn builder() -> EvaxConfigBuilder {
-        EvaxConfigBuilder {
-            cfg: EvaxConfig::default(),
-        }
-    }
-
     /// A laptop-scale configuration: smaller corpora, fewer epochs.
     pub fn small() -> Self {
         EvaxConfig {
@@ -80,97 +72,10 @@ impl EvaxConfig {
             ..Default::default()
         }
     }
-}
 
-/// Validating builder for [`EvaxConfig`], obtained from
-/// [`EvaxConfig::builder`]. Setters overwrite the defaults; [`build`] checks
-/// the result and returns [`EvaxError::Config`] naming the offending field
-/// instead of letting a degenerate configuration (zero-instruction windows,
-/// an empty program registry, a holdout that leaves no training data) fail
-/// deep inside a run.
-///
-/// [`build`]: EvaxConfigBuilder::build
-/// [`EvaxError::Config`]: crate::error::EvaxError::Config
-#[derive(Debug, Clone)]
-pub struct EvaxConfigBuilder {
-    cfg: EvaxConfig,
-}
-
-impl EvaxConfigBuilder {
-    /// Replaces the collection configuration wholesale.
-    pub fn collect(mut self, collect: CollectConfig) -> Self {
-        self.cfg.collect = collect;
-        self
-    }
-
-    /// Replaces the AM-GAN training configuration wholesale.
-    pub fn gan(mut self, gan: AmGanConfig) -> Self {
-        self.cfg.gan = gan;
-        self
-    }
-
-    /// Replaces the detector training configuration wholesale.
-    pub fn detector(mut self, detector: TrainConfig) -> Self {
-        self.cfg.detector = detector;
-        self
-    }
-
-    /// HPC sampling interval in committed instructions.
-    pub fn interval(mut self, interval: u64) -> Self {
-        self.cfg.collect.interval = interval;
-        self
-    }
-
-    /// Program runs per attack class.
-    pub fn runs_per_attack(mut self, runs: usize) -> Self {
-        self.cfg.collect.runs_per_attack = runs;
-        self
-    }
-
-    /// Program runs per benign kind.
-    pub fn runs_per_benign(mut self, runs: usize) -> Self {
-        self.cfg.collect.runs_per_benign = runs;
-        self
-    }
-
-    /// Instruction budget per collection run.
-    pub fn max_instrs(mut self, max_instrs: u64) -> Self {
-        self.cfg.collect.max_instrs = max_instrs;
-        self
-    }
-
-    /// Worker threads for the collection fan-out (bit-deterministic at any
-    /// setting).
-    pub fn parallelism(mut self, parallelism: crate::par::Parallelism) -> Self {
-        self.cfg.collect.parallelism = parallelism;
-        self
-    }
-
-    /// Generated attack samples per class for vaccination.
-    pub fn augment_per_class(mut self, n: usize) -> Self {
-        self.cfg.augment_per_class = n;
-        self
-    }
-
-    /// Generated benign samples for vaccination.
-    pub fn augment_benign(mut self, n: usize) -> Self {
-        self.cfg.augment_benign = n;
-        self
-    }
-
-    /// Holdout fraction for evaluation, in `(0, 1)`.
-    pub fn holdout(mut self, holdout: f64) -> Self {
-        self.cfg.holdout = holdout;
-        self
-    }
-
-    /// Sensitivity target for threshold tuning, in `(0, 1]`.
-    pub fn tpr_target(mut self, tpr_target: f64) -> Self {
-        self.cfg.tpr_target = tpr_target;
-        self
-    }
-
-    /// Validates and returns the configuration.
+    /// Checks the configuration before a run. [`EvaxPipeline::run`] calls
+    /// this up front, so a degenerate configuration fails naming the
+    /// offending field instead of deep inside collection or training.
     ///
     /// # Errors
     /// [`EvaxError::Config`](crate::error::EvaxError::Config) when a field
@@ -179,9 +84,9 @@ impl EvaxConfigBuilder {
     /// budget (every run would yield an empty stream), zero runs of both
     /// attack and benign programs (an empty registry/dataset), a holdout
     /// outside `(0, 1)`, or a sensitivity target outside `(0, 1]`.
-    pub fn build(self) -> crate::error::Result<EvaxConfig> {
+    pub fn validate(&self) -> crate::error::Result<()> {
         use crate::error::EvaxError;
-        let c = &self.cfg.collect;
+        let c = &self.collect;
         if c.interval == 0 {
             return Err(EvaxError::config(
                 "collect.interval",
@@ -216,19 +121,19 @@ impl EvaxConfigBuilder {
                 "at least one program run is required (the registry would be empty)",
             ));
         }
-        if !(self.cfg.holdout > 0.0 && self.cfg.holdout < 1.0) {
+        if !(self.holdout > 0.0 && self.holdout < 1.0) {
             return Err(EvaxError::config(
                 "holdout",
-                format!("must be in (0, 1), got {}", self.cfg.holdout),
+                format!("must be in (0, 1), got {}", self.holdout),
             ));
         }
-        if !(self.cfg.tpr_target > 0.0 && self.cfg.tpr_target <= 1.0) {
+        if !(self.tpr_target > 0.0 && self.tpr_target <= 1.0) {
             return Err(EvaxError::config(
                 "tpr_target",
-                format!("must be in (0, 1], got {}", self.cfg.tpr_target),
+                format!("must be in (0, 1], got {}", self.tpr_target),
             ));
         }
-        Ok(self.cfg)
+        Ok(())
     }
 }
 
@@ -480,7 +385,14 @@ impl EvaxPipeline {
     /// the default no-op sink this is exactly [`run`](Self::run); with a
     /// recording sink the trained artifacts are still bit-identical
     /// (recording never feeds back into collection or training).
+    ///
+    /// # Panics
+    /// Panics if `cfg` fails [`EvaxConfig::validate`], before any
+    /// collection.
     pub fn run_with_metrics(cfg: &EvaxConfig, seed: u64, metrics: &MetricsSink) -> EvaxPipeline {
+        if let Err(e) = cfg.validate() {
+            panic!("EVAX pipeline: {e}");
+        }
         let mut timings = StageTimings::default();
         let mut rng = StdRng::seed_from_u64(seed);
         let stage_start = std::time::Instant::now();
@@ -590,58 +502,66 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_match_default() {
-        let built = EvaxConfig::builder().build().unwrap();
-        assert_eq!(built, EvaxConfig::default());
+    fn default_validates() {
+        EvaxConfig::default().validate().unwrap();
     }
 
     #[test]
-    fn builder_setters_apply() {
-        let cfg = EvaxConfig::builder()
-            .interval(200)
-            .runs_per_attack(1)
-            .runs_per_benign(2)
-            .max_instrs(3_000)
-            .parallelism(crate::par::Parallelism::Fixed(2))
-            .augment_per_class(10)
-            .augment_benign(20)
-            .holdout(0.5)
-            .tpr_target(0.9)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.collect.interval, 200);
-        assert_eq!(cfg.collect.parallelism, crate::par::Parallelism::Fixed(2));
-        assert_eq!(cfg.augment_per_class, 10);
-        assert_eq!(cfg.holdout, 0.5);
-    }
-
-    #[test]
-    fn builder_rejects_degenerate_configs() {
+    fn validate_rejects_degenerate_configs() {
         use crate::error::EvaxError;
-        let cases: Vec<(EvaxConfigBuilder, &str)> = vec![
-            (EvaxConfig::builder().interval(0), "collect.interval"),
-            (EvaxConfig::builder().max_instrs(0), "collect.max_instrs"),
+        let with = |f: fn(&mut EvaxConfig)| {
+            let mut cfg = EvaxConfig::default();
+            f(&mut cfg);
+            cfg
+        };
+        let cases = [
+            (with(|c| c.collect.interval = 0), "collect.interval"),
+            (with(|c| c.collect.max_instrs = 0), "collect.max_instrs"),
             (
                 // Interval beyond the budget: zero windows per run.
-                EvaxConfig::builder().interval(50_000).max_instrs(1_000),
+                with(|c| {
+                    c.collect.interval = 50_000;
+                    c.collect.max_instrs = 1_000;
+                }),
                 "collect.interval",
             ),
             (
-                EvaxConfig::builder().runs_per_attack(0).runs_per_benign(0),
+                with(|c| {
+                    c.collect.runs_per_attack = 0;
+                    c.collect.runs_per_benign = 0;
+                }),
                 "collect.runs_per_attack/runs_per_benign",
             ),
-            (EvaxConfig::builder().holdout(0.0), "holdout"),
-            (EvaxConfig::builder().holdout(1.0), "holdout"),
-            (EvaxConfig::builder().tpr_target(0.0), "tpr_target"),
-            (EvaxConfig::builder().tpr_target(1.5), "tpr_target"),
+            (with(|c| c.holdout = 0.0), "holdout"),
+            (with(|c| c.holdout = 1.0), "holdout"),
+            (with(|c| c.tpr_target = 0.0), "tpr_target"),
+            (with(|c| c.tpr_target = 1.5), "tpr_target"),
         ];
-        for (builder, field) in cases {
-            match builder.build() {
+        for (cfg, field) in cases {
+            match cfg.validate() {
                 Err(EvaxError::Config { what, .. }) => {
                     assert_eq!(what, field, "wrong field blamed");
                 }
                 other => panic!("expected Config error for {field}, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn run_rejects_a_degenerate_holdout_before_collecting() {
+        let cfg = EvaxConfig {
+            holdout: 1.0,
+            ..EvaxConfig::small()
+        };
+        let registry = evax_obs::Registry::shared();
+        let metrics = MetricsSink::recording(&registry);
+        let panic = std::panic::catch_unwind(|| EvaxPipeline::run_with_metrics(&cfg, 7, &metrics))
+            .expect_err("a holdout of 1.0 leaves nothing to train on");
+        let msg = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("holdout"), "{msg}");
+        assert!(
+            registry.snapshot().is_empty(),
+            "the check must run before any collection"
+        );
     }
 }

@@ -3,8 +3,7 @@
 //! ```
 //! use evax_core::prelude::*;
 //!
-//! let cfg = EvaxConfig::builder().build().expect("defaults validate");
-//! assert_eq!(cfg, EvaxConfig::default());
+//! EvaxConfig::small().validate().expect("shipped configs validate");
 //! ```
 //!
 //! Everything here is the *stable* surface described in the crate docs:

@@ -1,5 +1,5 @@
 //! Golden contract for the disabled-device path: with `DeviceConfig` off —
-//! whether the untouched default or an explicitly disabled builder carrying
+//! whether the untouched default or an explicitly disabled config carrying
 //! live-looking timer/DMA settings — every streamed window and the final
 //! architectural registers are bitwise-identical to the pre-device oracle
 //! (the same trace driven directly through `Cpu::run_sampled`), and the
@@ -11,7 +11,7 @@ use evax_attacks::benign::Scale;
 use evax_attacks::{build_attack, build_benign, AttackClass, BenignKind, KernelParams};
 use evax_core::featurize::{CollectingSink, ProgramSource, WindowSource};
 use evax_core::par::{self, Parallelism};
-use evax_sim::{CpuConfig, DeviceConfig, DmaConfig, Program};
+use evax_sim::{CpuConfig, DeviceConfig, DmaConfig, Program, TimerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -42,17 +42,16 @@ fn small_corpus() -> Vec<Program> {
 /// settings — the strongest form of "off is invisible": the mere presence
 /// of configuration must not perturb a single bit.
 fn disabled_but_configured() -> DeviceConfig {
-    DeviceConfig::builder()
-        .enabled(false)
-        .timer_period(300)
-        .dma(DmaConfig {
+    DeviceConfig {
+        enabled: false,
+        timer: TimerConfig { period: 300 },
+        dma: DmaConfig {
             period: 64,
             burst_lines: 2,
             region_lines: 32,
             irq_every: 2,
-        })
-        .build()
-        .expect("disabled configs always validate")
+        },
+    }
 }
 
 /// Streams `program` under `cfg` through the production source and folds

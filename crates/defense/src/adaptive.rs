@@ -75,75 +75,42 @@ impl Default for AdaptiveConfig {
 }
 
 impl AdaptiveConfig {
-    /// A validating builder starting from [`AdaptiveConfig::default`].
-    /// `builder().build()` is bit-compatible with `Default::default()`.
-    pub fn builder() -> AdaptiveConfigBuilder {
-        AdaptiveConfigBuilder {
-            cfg: AdaptiveConfig::default(),
-        }
-    }
-}
-
-/// Validating builder for [`AdaptiveConfig`], obtained from
-/// [`AdaptiveConfig::builder`]. [`build`](AdaptiveConfigBuilder::build)
-/// rejects degenerate controllers — a zero sampling interval (the detector
-/// never sees a window) or a secure window shorter than one sampling
-/// interval (secure mode would expire before the next verdict, making the
-/// mitigation a no-op).
-#[derive(Debug, Clone)]
-pub struct AdaptiveConfigBuilder {
-    cfg: AdaptiveConfig,
-}
-
-impl AdaptiveConfigBuilder {
-    /// HPC sampling interval in committed instructions.
-    pub fn sample_interval(mut self, interval: u64) -> Self {
-        self.cfg.sample_interval = interval;
-        self
-    }
-
-    /// Instructions to stay in secure mode after a flag.
-    pub fn secure_window(mut self, window: u64) -> Self {
-        self.cfg.secure_window = window;
-        self
-    }
-
-    /// The mitigation secure mode engages.
-    pub fn policy(mut self, policy: Policy) -> Self {
-        self.cfg.policy = policy;
-        self
-    }
-
-    /// Validates and returns the configuration.
+    /// Checks the configuration before a controller runs.
+    /// [`AdaptiveController::new`] and [`crate::fleet::run_fleet_with_model`]
+    /// call this up front, so a degenerate controller fails naming the
+    /// offending field: a zero sampling interval (the detector never sees a
+    /// window) or a secure window shorter than one sampling interval
+    /// (secure mode would expire before the next verdict, making the
+    /// mitigation a no-op).
     ///
     /// # Errors
     /// [`EvaxError::Config`](evax_core::error::EvaxError::Config) when the
     /// sampling interval is zero, the secure window is zero, or the secure
     /// window is shorter than the sampling interval.
-    pub fn build(self) -> evax_core::error::Result<AdaptiveConfig> {
+    pub fn validate(&self) -> evax_core::error::Result<()> {
         use evax_core::error::EvaxError;
-        if self.cfg.sample_interval == 0 {
+        if self.sample_interval == 0 {
             return Err(EvaxError::config(
                 "sample_interval",
                 "sampling interval must be positive",
             ));
         }
-        if self.cfg.secure_window == 0 {
+        if self.secure_window == 0 {
             return Err(EvaxError::config(
                 "secure_window",
                 "secure window must be positive",
             ));
         }
-        if self.cfg.secure_window < self.cfg.sample_interval {
+        if self.secure_window < self.sample_interval {
             return Err(EvaxError::config(
                 "secure_window",
                 format!(
                     "secure window ({}) must cover at least one sampling interval ({})",
-                    self.cfg.secure_window, self.cfg.sample_interval
+                    self.secure_window, self.sample_interval
                 ),
             ));
         }
-        Ok(self.cfg)
+        Ok(())
     }
 }
 
@@ -347,13 +314,16 @@ impl<'a> AdaptiveController<'a> {
     /// Creates a controller scoring `featurizer`'s rows with `model`.
     ///
     /// # Panics
-    /// Panics if `model` consumes a different feature dimension than the
-    /// featurizer produces.
+    /// Panics if `cfg` fails [`AdaptiveConfig::validate`], or if `model`
+    /// consumes a different feature dimension than the featurizer produces.
     pub fn new(
         featurizer: &'a Featurizer,
         model: &'a dyn ModelDetector,
         cfg: &'a AdaptiveConfig,
     ) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("adaptive controller: {e}");
+        }
         assert_eq!(
             model.n_features(),
             featurizer.feature_dim(),
@@ -447,8 +417,9 @@ impl WindowSink for IpcTrace {
 ///
 /// # Panics
 /// Panics if the featurizer refuses windows from `cpu_cfg`
-/// ([`Featurizer::check_config`]: width or schema fingerprint mismatch), or
-/// if `model` and `featurizer` disagree on the feature dimension.
+/// ([`Featurizer::check_config`]: width or schema fingerprint mismatch),
+/// if `cfg` fails [`AdaptiveConfig::validate`], or if `model` and
+/// `featurizer` disagree on the feature dimension.
 pub fn run_adaptive(
     cpu_cfg: &CpuConfig,
     program: &Program,
@@ -594,10 +565,10 @@ mod tests {
         // Baseline-fitted featurizer against an energy-enabled core: the
         // width negotiation fails up front with Config context.
         let cpu_cfg = CpuConfig {
-            sensor: evax_sim::SensorConfig::builder()
-                .energy(true)
-                .build()
-                .unwrap(),
+            sensor: evax_sim::SensorConfig {
+                energy: true,
+                ..Default::default()
+            },
             ..CpuConfig::default()
         };
         run_adaptive(
@@ -891,40 +862,55 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_match_default() {
-        let built = AdaptiveConfig::builder().build().unwrap();
-        assert_eq!(built, AdaptiveConfig::default());
+    fn default_validates() {
+        AdaptiveConfig::default().validate().unwrap();
     }
 
     #[test]
-    fn builder_rejects_degenerate_configs() {
+    fn validate_rejects_degenerate_configs() {
         use evax_core::error::EvaxError;
-        for (builder, field) in [
-            (
-                AdaptiveConfig::builder().sample_interval(0),
-                "sample_interval",
-            ),
-            (AdaptiveConfig::builder().secure_window(0), "secure_window"),
-            (
-                // Secure mode would expire before the next verdict.
-                AdaptiveConfig::builder()
-                    .sample_interval(500)
-                    .secure_window(100),
-                "secure_window",
-            ),
+        let with = |sample_interval, secure_window| AdaptiveConfig {
+            sample_interval,
+            secure_window,
+            ..AdaptiveConfig::default()
+        };
+        for (cfg, field) in [
+            (with(0, 10_000), "sample_interval"),
+            (with(100, 0), "secure_window"),
+            // Secure mode would expire before the next verdict.
+            (with(500, 100), "secure_window"),
         ] {
-            match builder.build() {
+            match cfg.validate() {
                 Err(EvaxError::Config { what, .. }) => assert_eq!(what, field),
                 other => panic!("expected Config error for {field}, got {other:?}"),
             }
         }
-        let cfg = AdaptiveConfig::builder()
-            .sample_interval(250)
-            .secure_window(5_000)
-            .policy(Policy::InvisiSpecFuturistic)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.sample_interval, 250);
-        assert_eq!(cfg.policy, Policy::InvisiSpecFuturistic);
+        AdaptiveConfig {
+            sample_interval: 250,
+            secure_window: 5_000,
+            policy: Policy::InvisiSpecFuturistic,
+        }
+        .validate()
+        .unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "secure_window")]
+    fn run_adaptive_rejects_a_secure_window_shorter_than_one_interval() {
+        let (det, feat) = trained_detector(3);
+        let cfg = AdaptiveConfig {
+            sample_interval: 500,
+            secure_window: 100,
+            ..AdaptiveConfig::default()
+        };
+        run_adaptive(
+            &CpuConfig::default(),
+            &spectre_pht(),
+            &feat,
+            &det,
+            &cfg,
+            20_000,
+            &MetricsSink::default(),
+        );
     }
 }

@@ -108,7 +108,8 @@ pub struct FleetConfig {
     /// and snapshotted before sharding, and every tenant stream of that
     /// class forks from the warm snapshot instead of a cold core. Windows
     /// are approximate (warm microarchitectural state from a sibling run);
-    /// the `ff` bench quantifies the verdict drift.
+    /// `tests/golden_fastforward.rs::fast_forward_verdict_drift_is_bounded_slow`
+    /// bounds the verdict drift.
     pub warm_start: bool,
 }
 
@@ -569,8 +570,9 @@ fn run_shard(
 /// `AdaptiveController` path.
 ///
 /// # Panics
-/// Panics on a degenerate configuration (zero streams, zero batch size,
-/// zero sampling interval) or a featurizer/detector dimension mismatch.
+/// Panics on a degenerate configuration (zero streams, zero batch size, an
+/// adaptive config that fails [`AdaptiveConfig::validate`]) or a
+/// featurizer/detector dimension mismatch.
 pub fn run_fleet(
     cfg: &FleetConfig,
     cpu_cfg: &CpuConfig,
@@ -596,8 +598,9 @@ pub fn run_fleet(
 /// and fail-secure gates still run through the concrete `detector`.
 ///
 /// # Panics
-/// Panics on a degenerate configuration or a featurizer/detector/model
-/// dimension mismatch.
+/// Panics on a degenerate configuration (including one that fails
+/// [`AdaptiveConfig::validate`]) or a featurizer/detector/model dimension
+/// mismatch.
 pub fn run_fleet_with_model(
     cfg: &FleetConfig,
     cpu_cfg: &CpuConfig,
@@ -608,10 +611,9 @@ pub fn run_fleet_with_model(
 ) -> FleetReport {
     assert!(cfg.n_streams > 0, "fleet needs at least one stream");
     assert!(cfg.batch_windows > 0, "batch must hold at least one window");
-    assert!(
-        cfg.adaptive.sample_interval > 0,
-        "sampling interval must be positive"
-    );
+    if let Err(e) = cfg.adaptive.validate() {
+        panic!("fleet: {e}");
+    }
     assert_eq!(
         featurizer.feature_dim(),
         detector.extended_dim(),
@@ -742,15 +744,31 @@ mod tests {
         // energy-enabled core produces a wider schema and must be refused
         // up front (typed Config context), not by a slice panic mid-run.
         let cpu_cfg = CpuConfig {
-            sensor: evax_sim::SensorConfig::builder()
-                .energy(true)
-                .build()
-                .unwrap(),
+            sensor: evax_sim::SensorConfig {
+                energy: true,
+                ..Default::default()
+            },
             ..CpuConfig::default()
         };
         run_fleet(
             &small_cfg(InferenceMode::PerWindow),
             &cpu_cfg,
+            &det,
+            &feat,
+            Parallelism::Fixed(1),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "secure_window")]
+    fn fleet_rejects_a_secure_window_shorter_than_one_interval() {
+        let (det, norm) = trained(5);
+        let feat = Featurizer::new(norm, det.engineered().to_vec());
+        let mut cfg = small_cfg(InferenceMode::BatchedF32);
+        cfg.adaptive.secure_window = cfg.adaptive.sample_interval - 1;
+        run_fleet(
+            &cfg,
+            &CpuConfig::default(),
             &det,
             &feat,
             Parallelism::Fixed(1),

@@ -107,7 +107,9 @@ impl Default for DmaConfig {
 ///
 /// `Default` is bit-compatible with the pre-device simulator: everything is
 /// **off**, and a disabled subsystem is bitwise-invisible (golden tests pin
-/// this). Construct non-default values through [`DeviceConfig::builder`].
+/// this). Build non-default values as a struct literal over
+/// `..Default::default()`; [`Cpu::new`](crate::Cpu::new) checks them through
+/// [`DeviceConfig::validate`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct DeviceConfig {
     /// Master switch. When `false` the core allocates no device state and
@@ -120,14 +122,6 @@ pub struct DeviceConfig {
 }
 
 impl DeviceConfig {
-    /// A validating builder starting from [`DeviceConfig::default`].
-    /// `builder().build()` is bit-compatible with `Default::default()`.
-    pub fn builder() -> DeviceConfigBuilder {
-        DeviceConfigBuilder {
-            cfg: DeviceConfig::default(),
-        }
-    }
-
     /// Number of extra counters this subsystem appends to the HPC vector
     /// (0 when disabled).
     pub fn extra_dim(&self) -> usize {
@@ -178,43 +172,6 @@ impl DeviceConfig {
             return Err("device subsystem enabled but both timer and dma are off".into());
         }
         Ok(())
-    }
-}
-
-/// Validating builder for [`DeviceConfig`], obtained from
-/// [`DeviceConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct DeviceConfigBuilder {
-    cfg: DeviceConfig,
-}
-
-impl DeviceConfigBuilder {
-    /// Enables or disables the whole subsystem.
-    pub fn enabled(mut self, enabled: bool) -> Self {
-        self.cfg.enabled = enabled;
-        self
-    }
-
-    /// Sets the timer period in cycles (`0` = timer off).
-    pub fn timer_period(mut self, period: u64) -> Self {
-        self.cfg.timer.period = period;
-        self
-    }
-
-    /// Replaces the DMA settings.
-    pub fn dma(mut self, dma: DmaConfig) -> Self {
-        self.cfg.dma = dma;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    /// Returns the violated invariant (period below the livelock floor,
-    /// zero-line bursts, or an enabled subsystem with every source off).
-    pub fn build(self) -> Result<DeviceConfig, String> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -377,59 +334,58 @@ mod tests {
         assert!(!d.enabled);
         assert_eq!(d.extra_dim(), 0);
         assert!(d.validate().is_ok());
-        assert_eq!(DeviceConfig::builder().build().unwrap(), d);
+    }
+
+    /// An enabled subsystem with the given timer period and DMA settings.
+    fn enabled(timer_period: u64, dma: DmaConfig) -> DeviceConfig {
+        DeviceConfig {
+            enabled: true,
+            timer: TimerConfig {
+                period: timer_period,
+            },
+            dma,
+        }
+    }
+
+    /// An enabled subsystem with only the timer armed.
+    fn timer_only(period: u64) -> DeviceConfig {
+        enabled(period, DmaConfig::default())
     }
 
     #[test]
-    fn builder_enables_devices() {
-        let d = DeviceConfig::builder()
-            .enabled(true)
-            .timer_period(500)
-            .build()
-            .unwrap();
-        assert!(d.enabled);
+    fn enabled_timer_validates_and_widens() {
+        let d = timer_only(500);
+        assert!(d.validate().is_ok());
         assert_eq!(d.extra_dim(), DEVICE_DIM);
     }
 
     #[test]
-    fn builder_rejects_livelock_timer() {
-        let err = DeviceConfig::builder()
-            .enabled(true)
-            .timer_period(MIN_TIMER_PERIOD - 1)
-            .build()
-            .unwrap_err();
+    fn validate_rejects_livelock_timer() {
+        let err = timer_only(MIN_TIMER_PERIOD - 1).validate().unwrap_err();
         assert!(err.contains("MIN_TIMER_PERIOD"), "{err}");
     }
 
     #[test]
-    fn builder_rejects_empty_enable() {
-        let err = DeviceConfig::builder().enabled(true).build().unwrap_err();
+    fn validate_rejects_empty_enable() {
+        let err = timer_only(0).validate().unwrap_err();
         assert!(err.contains("both timer and dma are off"), "{err}");
     }
 
     #[test]
-    fn builder_rejects_bad_dma_geometry() {
+    fn validate_rejects_bad_dma_geometry() {
         let bad = DmaConfig {
             period: 100,
             burst_lines: 0,
             ..DmaConfig::default()
         };
-        assert!(DeviceConfig::builder()
-            .enabled(true)
-            .dma(bad)
-            .build()
-            .is_err());
+        assert!(enabled(0, bad).validate().is_err());
         let oversize = DmaConfig {
             period: 100,
             burst_lines: 8,
             region_lines: 4,
             irq_every: 0,
         };
-        assert!(DeviceConfig::builder()
-            .enabled(true)
-            .dma(oversize)
-            .build()
-            .is_err());
+        assert!(enabled(0, oversize).validate().is_err());
     }
 
     #[test]
@@ -442,17 +398,15 @@ mod tests {
 
     #[test]
     fn state_round_trips_through_words() {
-        let cfg = DeviceConfig::builder()
-            .enabled(true)
-            .timer_period(200)
-            .dma(DmaConfig {
+        let cfg = enabled(
+            200,
+            DmaConfig {
                 period: 64,
                 burst_lines: 2,
                 region_lines: 32,
                 irq_every: 4,
-            })
-            .build()
-            .unwrap();
+            },
+        );
         let mut s = DeviceState::new(&cfg);
         s.irq_pending = 0b10;
         s.irq_in_service = true;
@@ -470,11 +424,7 @@ mod tests {
 
     #[test]
     fn reset_for_run_keeps_cumulative_stats() {
-        let cfg = DeviceConfig::builder()
-            .enabled(true)
-            .timer_period(100)
-            .build()
-            .unwrap();
+        let cfg = timer_only(100);
         let mut s = DeviceState::new(&cfg);
         s.stats.timer_fires = 9;
         s.irq_pending = 1;
@@ -488,11 +438,7 @@ mod tests {
 
     #[test]
     fn out_of_range_words_fail_to_load() {
-        let cfg = DeviceConfig::builder()
-            .enabled(true)
-            .timer_period(200)
-            .build()
-            .unwrap();
+        let cfg = timer_only(200);
         let s = DeviceState::new(&cfg);
         // Words 4 and 5 are the pending mask and the in-service flag.
         let pending = |v| crate::reload(&s, DeviceState::state, 4, v);

@@ -175,9 +175,9 @@ impl EnergyWeights {
 ///
 /// `Default` is bit-compatible with the pre-sensor simulator: the energy
 /// model is **off**, and a disabled sensor is bitwise-invisible (golden
-/// tests pin this). Construct non-default values through
-/// [`SensorConfig::builder`], which validates like the other config
-/// builders.
+/// tests pin this). Build non-default values as a struct literal
+/// (`SensorConfig { energy: true, ..Default::default() }`);
+/// [`Cpu::new`](crate::Cpu::new) checks them through [`SensorConfig::validate`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SensorConfig {
     /// Enables the per-structure energy model: `energy.*` counters are
@@ -189,14 +189,6 @@ pub struct SensorConfig {
 }
 
 impl SensorConfig {
-    /// A validating builder starting from [`SensorConfig::default`].
-    /// `builder().build()` is bit-compatible with `Default::default()`.
-    pub fn builder() -> SensorConfigBuilder {
-        SensorConfigBuilder {
-            cfg: SensorConfig::default(),
-        }
-    }
-
     /// Number of extra counters this sensor appends to the baseline HPC
     /// vector (0 when disabled).
     pub fn extra_dim(&self) -> usize {
@@ -219,38 +211,6 @@ impl SensorConfig {
                 .map_err(|e| format!("energy: {e}"))?;
         }
         Ok(())
-    }
-}
-
-/// Validating builder for [`SensorConfig`], obtained from
-/// [`SensorConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct SensorConfigBuilder {
-    cfg: SensorConfig,
-}
-
-impl SensorConfigBuilder {
-    /// Enables or disables the energy model.
-    pub fn energy(mut self, enabled: bool) -> Self {
-        self.cfg.energy = enabled;
-        self
-    }
-
-    /// Replaces the per-event weight table.
-    pub fn weights(mut self, weights: EnergyWeights) -> Self {
-        self.cfg.weights = weights;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    /// Returns the violated invariant (weight above
-    /// [`MAX_ENERGY_WEIGHT`], or an enabled sensor with an all-zero
-    /// weight table).
-    pub fn build(self) -> Result<SensorConfig, String> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -311,32 +271,35 @@ mod tests {
         assert!(!s.energy);
         assert_eq!(s.extra_dim(), 0);
         assert!(s.validate().is_ok());
-        assert_eq!(SensorConfig::builder().build().unwrap(), s);
     }
 
     #[test]
-    fn builder_enables_energy() {
-        let s = SensorConfig::builder().energy(true).build().unwrap();
-        assert!(s.energy);
+    fn enabled_energy_validates_and_widens() {
+        let s = SensorConfig {
+            energy: true,
+            ..Default::default()
+        };
+        assert!(s.validate().is_ok());
         assert_eq!(s.extra_dim(), ENERGY_DIM);
     }
 
     #[test]
-    fn builder_rejects_oversized_weight() {
+    fn validate_rejects_oversized_weight() {
         let w = EnergyWeights {
             dram_activate: MAX_ENERGY_WEIGHT + 1,
             ..EnergyWeights::default()
         };
-        let err = SensorConfig::builder()
-            .energy(true)
-            .weights(w)
-            .build()
-            .unwrap_err();
+        let err = SensorConfig {
+            energy: true,
+            weights: w,
+        }
+        .validate()
+        .unwrap_err();
         assert!(err.contains("MAX_ENERGY_WEIGHT"), "{err}");
     }
 
     #[test]
-    fn builder_rejects_all_zero_weights() {
+    fn validate_rejects_all_zero_weights() {
         let w = EnergyWeights {
             commit_load: 0,
             commit_store: 0,
@@ -357,17 +320,19 @@ mod tests {
             dram_refresh: 0,
             static_per_cycle: 0,
         };
-        assert!(SensorConfig::builder()
-            .energy(true)
-            .weights(w)
-            .build()
-            .is_err());
+        assert!(SensorConfig {
+            energy: true,
+            weights: w,
+        }
+        .validate()
+        .is_err());
         // Disabled sensor never validates the weights.
-        assert!(SensorConfig::builder()
-            .energy(false)
-            .weights(w)
-            .build()
-            .is_ok());
+        assert!(SensorConfig {
+            energy: false,
+            weights: w,
+        }
+        .validate()
+        .is_ok());
     }
 
     #[test]

@@ -397,7 +397,10 @@ mod tests {
 
     fn energy_cfg() -> CpuConfig {
         CpuConfig {
-            sensor: SensorConfig::builder().energy(true).build().unwrap(),
+            sensor: SensorConfig {
+                energy: true,
+                ..Default::default()
+            },
             ..CpuConfig::default()
         }
     }
@@ -424,13 +427,13 @@ mod tests {
 
     #[test]
     fn device_subsystem_appends_tail_after_energy() {
-        use crate::device::{DeviceConfig, DEVICE_DIM};
+        use crate::device::{DeviceConfig, TimerConfig, DEVICE_DIM};
         let cfg = CpuConfig {
-            devices: DeviceConfig::builder()
-                .enabled(true)
-                .timer_period(500)
-                .build()
-                .unwrap(),
+            devices: DeviceConfig {
+                enabled: true,
+                timer: TimerConfig { period: 500 },
+                ..Default::default()
+            },
             ..energy_cfg()
         };
         assert_eq!(dim_for(&cfg), HPC_BASE_DIM + ENERGY_DIM + DEVICE_DIM);
@@ -454,11 +457,11 @@ mod tests {
     #[test]
     fn names_are_unique() {
         let cfg = CpuConfig {
-            devices: crate::device::DeviceConfig::builder()
-                .enabled(true)
-                .timer_period(500)
-                .build()
-                .unwrap(),
+            devices: crate::device::DeviceConfig {
+                enabled: true,
+                timer: crate::device::TimerConfig { period: 500 },
+                ..Default::default()
+            },
             ..energy_cfg()
         };
         let schema = FeatureSchema::for_config(&cfg);

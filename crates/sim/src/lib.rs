@@ -64,10 +64,10 @@ pub use cache::Cache;
 pub use config::{CacheConfig, CpuConfig, MitigationMode, SchedulerKind};
 pub use cpu::{Cpu, HpcSample, RunResult, SampleSchedule, SampledCursor, SampledStep};
 pub use device::{
-    DeviceConfig, DeviceConfigBuilder, DeviceStats, DmaConfig, TimerConfig, DEVICE_DIM,
-    DEVICE_NAMES, DMA_DST_BASE, DMA_LINE_BYTES, DMA_SRC_BASE, NUM_IRQ_VECTORS,
+    DeviceConfig, DeviceStats, DmaConfig, TimerConfig, DEVICE_DIM, DEVICE_NAMES, DMA_DST_BASE,
+    DMA_LINE_BYTES, DMA_SRC_BASE, NUM_IRQ_VECTORS,
 };
-pub use energy::{EnergyWeights, SensorConfig, SensorConfigBuilder, ENERGY_DIM, ENERGY_NAMES};
+pub use energy::{EnergyWeights, SensorConfig, ENERGY_DIM, ENERGY_NAMES};
 pub use hpc::{dim_for, for_each_hpc, hpc_index, hpc_vector, hpc_vector_into, HPC_BASE_DIM};
 pub use isa::{Program, ProgramBuilder};
 pub use schema::{FeatureSchema, Modality};

@@ -273,7 +273,10 @@ mod tests {
     #[test]
     fn energy_tail_changes_dim_and_fingerprint() {
         let cfg = CpuConfig {
-            sensor: SensorConfig::builder().energy(true).build().unwrap(),
+            sensor: SensorConfig {
+                energy: true,
+                ..Default::default()
+            },
             ..CpuConfig::default()
         };
         let s = FeatureSchema::for_config(&cfg);
@@ -326,7 +329,10 @@ mod tests {
     #[test]
     fn round_trip_through_columns() {
         let cfg = CpuConfig {
-            sensor: SensorConfig::builder().energy(true).build().unwrap(),
+            sensor: SensorConfig {
+                energy: true,
+                ..Default::default()
+            },
             ..CpuConfig::default()
         };
         let s = FeatureSchema::for_config(&cfg).with_engineered(["eng.z"]);
@@ -351,13 +357,13 @@ mod tests {
 
     #[test]
     fn device_tail_changes_dim_and_fingerprint() {
-        use crate::device::{DeviceConfig, DEVICE_DIM};
+        use crate::device::{DeviceConfig, TimerConfig, DEVICE_DIM};
         let cfg = CpuConfig {
-            devices: DeviceConfig::builder()
-                .enabled(true)
-                .timer_period(500)
-                .build()
-                .unwrap(),
+            devices: DeviceConfig {
+                enabled: true,
+                timer: TimerConfig { period: 500 },
+                ..Default::default()
+            },
             ..CpuConfig::default()
         };
         let s = FeatureSchema::for_config(&cfg);
@@ -371,14 +377,17 @@ mod tests {
 
     #[test]
     fn energy_plus_device_tails_stack_in_order() {
-        use crate::device::{DeviceConfig, DEVICE_DIM};
+        use crate::device::{DeviceConfig, TimerConfig, DEVICE_DIM};
         let cfg = CpuConfig {
-            sensor: SensorConfig::builder().energy(true).build().unwrap(),
-            devices: DeviceConfig::builder()
-                .enabled(true)
-                .timer_period(500)
-                .build()
-                .unwrap(),
+            sensor: SensorConfig {
+                energy: true,
+                ..Default::default()
+            },
+            devices: DeviceConfig {
+                enabled: true,
+                timer: TimerConfig { period: 500 },
+                ..Default::default()
+            },
             ..CpuConfig::default()
         };
         let s = FeatureSchema::for_config(&cfg);

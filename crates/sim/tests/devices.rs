@@ -5,27 +5,28 @@
 
 use evax_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
 use evax_sim::{
-    Cpu, CpuConfig, DeviceConfig, DmaConfig, Program, SchedulerKind, DMA_SRC_BASE, NUM_IRQ_VECTORS,
+    Cpu, CpuConfig, DeviceConfig, DmaConfig, Program, SchedulerKind, TimerConfig, DMA_SRC_BASE,
+    NUM_IRQ_VECTORS,
 };
 
 fn timer_cfg(period: u64) -> CpuConfig {
     CpuConfig {
-        devices: DeviceConfig::builder()
-            .enabled(true)
-            .timer_period(period)
-            .build()
-            .unwrap(),
+        devices: DeviceConfig {
+            enabled: true,
+            timer: TimerConfig { period },
+            ..Default::default()
+        },
         ..CpuConfig::default()
     }
 }
 
 fn dma_cfg(dma: DmaConfig) -> CpuConfig {
     CpuConfig {
-        devices: DeviceConfig::builder()
-            .enabled(true)
-            .dma(dma)
-            .build()
-            .unwrap(),
+        devices: DeviceConfig {
+            enabled: true,
+            dma,
+            ..Default::default()
+        },
         ..CpuConfig::default()
     }
 }
@@ -176,12 +177,11 @@ fn schedulers_agree_with_devices_enabled() {
     for sched in [SchedulerKind::Scan, SchedulerKind::EventDriven] {
         let cfg = CpuConfig {
             scheduler: sched,
-            devices: DeviceConfig::builder()
-                .enabled(true)
-                .timer_period(400)
-                .dma(dma)
-                .build()
-                .unwrap(),
+            devices: DeviceConfig {
+                enabled: true,
+                timer: TimerConfig { period: 400 },
+                dma,
+            },
             ..CpuConfig::default()
         };
         let mut cpu = Cpu::new(cfg);

@@ -24,10 +24,10 @@ const MAX_INSTRS: u64 = 4_000;
 
 fn energy_cfg() -> CpuConfig {
     CpuConfig {
-        sensor: SensorConfig::builder()
-            .energy(true)
-            .build()
-            .expect("default weights validate"),
+        sensor: SensorConfig {
+            energy: true,
+            ..Default::default()
+        },
         ..CpuConfig::default()
     }
 }
