@@ -215,6 +215,7 @@ mod tests {
         ] {
             cfg.validate().unwrap();
         }
+        KfoldConfig::default().collect.validate().unwrap();
         evax_defense::fleet::FleetConfig::default()
             .adaptive
             .validate()

@@ -24,6 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dataset::{Dataset, Normalizer, Sample, BENIGN_CLASS};
+use crate::error::{EvaxError, Result};
 use crate::featurize::{CollectingSink, DatasetSink, ProgramSource, StreamStats, WindowSource};
 use crate::par::{self, Parallelism};
 
@@ -71,11 +72,70 @@ impl Default for CollectConfig {
     }
 }
 
+impl CollectConfig {
+    /// Checks the configuration before collecting. Every collector entry
+    /// point in this module (and [`crate::fuzz::collect_corpus`]) runs it
+    /// up front and panics `invalid collect config: …` on failure;
+    /// [`crate::pipeline::EvaxConfig::validate`] delegates to it.
+    ///
+    /// # Errors
+    /// [`EvaxError::Config`] when a field is degenerate: a zero sampling
+    /// interval or instruction budget (no windows would ever be produced),
+    /// an interval beyond the instruction budget (every run would yield an
+    /// empty stream), a zero benign workload scale, or zero runs of both
+    /// attack and benign programs (an empty registry/dataset).
+    pub fn validate(&self) -> Result<()> {
+        if self.interval == 0 {
+            return Err(EvaxError::config(
+                "collect.interval",
+                "sampling interval must be positive",
+            ));
+        }
+        if self.max_instrs == 0 {
+            return Err(EvaxError::config(
+                "collect.max_instrs",
+                "instruction budget must be positive",
+            ));
+        }
+        if self.interval > self.max_instrs {
+            return Err(EvaxError::config(
+                "collect.interval",
+                format!(
+                    "interval {} exceeds the {}-instruction budget: every run would \
+                     produce zero windows",
+                    self.interval, self.max_instrs
+                ),
+            ));
+        }
+        if self.benign_scale == 0 {
+            return Err(EvaxError::config(
+                "collect.benign_scale",
+                "benign workload scale must be positive",
+            ));
+        }
+        if self.runs_per_attack == 0 && self.runs_per_benign == 0 {
+            return Err(EvaxError::config(
+                "collect.runs_per_attack/runs_per_benign",
+                "at least one program run is required (the registry would be empty)",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Panics `invalid collect config: …` unless [`Self::validate`] passes.
+    pub(crate) fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("invalid collect config: {e}");
+        }
+    }
+}
+
 /// Collects the raw (unnormalized) HPC windows for one program.
 ///
 /// Diagnostic/figure helper over the shared streaming source — the
 /// production collection path never materializes windows like this.
 pub fn raw_windows(program: &Program, cfg: &CollectConfig, cpu_cfg: &CpuConfig) -> Vec<Vec<f64>> {
+    cfg.assert_valid();
     let mut sink = CollectingSink::new();
     ProgramSource::new(program, cpu_cfg, cfg.interval, cfg.max_instrs)
         .with_schedule(cfg.schedule)
@@ -162,6 +222,7 @@ pub fn collect_dataset_stats_with(
     seed: u64,
     metrics: &MetricsSink,
 ) -> (Dataset, StreamStats) {
+    cfg.assert_valid();
     let cpu_cfg = cfg.cpu.clone();
     let runs = run_specs(cfg, seed);
     let dim = evax_sim::dim_for(&cpu_cfg);
@@ -226,6 +287,7 @@ pub fn collect_program(
     cfg: &CollectConfig,
     norm: &Normalizer,
 ) -> Vec<Sample> {
+    cfg.assert_valid();
     let cpu_cfg = cfg.cpu.clone();
     let mut sink = DatasetSink::new(norm, class);
     ProgramSource::new(program, &cpu_cfg, cfg.interval, cfg.max_instrs)
@@ -248,6 +310,53 @@ mod tests {
             parallelism: Parallelism::serial(),
             ..Default::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid collect config: invalid config (collect.interval)")]
+    fn collect_rejects_a_zero_interval() {
+        // Unchecked, a zero interval yields more samples than committed
+        // instructions.
+        collect_dataset(
+            &CollectConfig {
+                interval: 0,
+                ..tiny()
+            },
+            7,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid collect config: invalid config (collect.interval)")]
+    fn collect_rejects_an_interval_beyond_the_budget() {
+        // Unchecked, no run would reach one window: an empty dataset.
+        collect_dataset(
+            &CollectConfig {
+                interval: 4_000,
+                ..tiny()
+            },
+            7,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid collect config: invalid config (collect.max_instrs)")]
+    fn collect_program_rejects_a_zero_budget() {
+        let program = build_benign(
+            evax_attacks::BENIGN_KINDS[0],
+            Scale(1_000),
+            &mut StdRng::seed_from_u64(1),
+        );
+        let norm = Normalizer::new(evax_sim::HPC_BASE_DIM);
+        collect_program(
+            &program,
+            BENIGN_CLASS,
+            &CollectConfig {
+                max_instrs: 0,
+                ..tiny()
+            },
+            &norm,
+        );
     }
 
     #[test]

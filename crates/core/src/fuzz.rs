@@ -234,6 +234,7 @@ pub fn collect_corpus(
     norm: &Normalizer,
     seed: u64,
 ) -> Dataset {
+    collect_cfg.assert_valid();
     let mut programs: Vec<(Program, AttackClass)> = Vec::new();
     for (ti, &tool) in tools.iter().enumerate() {
         programs.extend(generate_programs(

@@ -128,15 +128,12 @@ fn run_fold(
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(fold as u64 * 1315423911));
         let mut train = dataset.clone();
         let held_out = train.remove_class(class.label());
-        // Benign holdout for error measurement.
+        // Benign holdout for error measurement: the benign part of the
+        // split's 20% test half. Its malicious part is dropped — it neither
+        // trains nor scores.
         let (train, benign_holdout) = {
-            let (mut tr, mut te) = train.split(0.2, &mut rng);
+            let (tr, mut te) = train.split(0.2, &mut rng);
             te.samples.retain(|s| !s.malicious);
-            tr.samples.extend(
-                // Malicious samples from the split's test half return to
-                // training (only benign is held out here).
-                Vec::new(),
-            );
             (tr, te)
         };
         let mut test = held_out;

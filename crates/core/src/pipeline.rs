@@ -78,49 +78,12 @@ impl EvaxConfig {
     /// offending field instead of deep inside collection or training.
     ///
     /// # Errors
-    /// [`EvaxError::Config`](crate::error::EvaxError::Config) when a field
-    /// is degenerate: a zero sampling interval or instruction budget (no
-    /// windows would ever be produced), an interval beyond the instruction
-    /// budget (every run would yield an empty stream), zero runs of both
-    /// attack and benign programs (an empty registry/dataset), a holdout
-    /// outside `(0, 1)`, or a sensitivity target outside `(0, 1]`.
+    /// [`EvaxError::Config`](crate::error::EvaxError::Config) when a
+    /// `collect.*` field fails [`CollectConfig::validate`], the holdout is
+    /// outside `(0, 1)`, or the sensitivity target is outside `(0, 1]`.
     pub fn validate(&self) -> crate::error::Result<()> {
         use crate::error::EvaxError;
-        let c = &self.collect;
-        if c.interval == 0 {
-            return Err(EvaxError::config(
-                "collect.interval",
-                "sampling interval must be positive",
-            ));
-        }
-        if c.max_instrs == 0 {
-            return Err(EvaxError::config(
-                "collect.max_instrs",
-                "instruction budget must be positive",
-            ));
-        }
-        if c.interval > c.max_instrs {
-            return Err(EvaxError::config(
-                "collect.interval",
-                format!(
-                    "interval {} exceeds the {}-instruction budget: every run would \
-                     produce zero windows",
-                    c.interval, c.max_instrs
-                ),
-            ));
-        }
-        if c.benign_scale == 0 {
-            return Err(EvaxError::config(
-                "collect.benign_scale",
-                "benign workload scale must be positive",
-            ));
-        }
-        if c.runs_per_attack == 0 && c.runs_per_benign == 0 {
-            return Err(EvaxError::config(
-                "collect.runs_per_attack/runs_per_benign",
-                "at least one program run is required (the registry would be empty)",
-            ));
-        }
+        self.collect.validate()?;
         if !(self.holdout > 0.0 && self.holdout < 1.0) {
             return Err(EvaxError::config(
                 "holdout",

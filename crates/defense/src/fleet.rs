@@ -301,8 +301,8 @@ fn stream_program(id: usize, cfg: &FleetConfig) -> (Program, usize) {
 /// one representative per distinct registry program. Templates are produced
 /// by a snapshot→restore round trip (exercising the serialized format) and
 /// then cloned per tenant stream — cloning forks the full core state at
-/// memcpy speed, far cheaper than re-parsing the snapshot word stream per
-/// stream.
+/// memcpy speed (each cache's lines are one buffer), far cheaper than
+/// re-parsing the snapshot word stream per stream.
 type WarmPool = HashMap<String, Cpu>;
 
 /// Warms one core per distinct registry program name (sequentially, before

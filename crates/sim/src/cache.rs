@@ -4,6 +4,8 @@
 //! channel every attack in the paper transmits over. InvisiSpec-mode loads
 //! bypass installation (see `cpu.rs`).
 
+use std::ops::Range;
+
 use evax_dram::state::Words;
 
 use crate::config::CacheConfig;
@@ -74,7 +76,9 @@ pub struct CacheAccess {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// All lines in one set-major buffer: set `s` is
+    /// `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<Line>,
     stats: CacheStats,
     tick: u64,
     /// Completion times of in-flight misses, for MSHR occupancy.
@@ -90,9 +94,8 @@ impl Cache {
         if let Err(e) = cfg.validate() {
             panic!("invalid cache config: {e}");
         }
-        let sets = vec![vec![INVALID; cfg.ways]; cfg.sets()];
         Cache {
-            sets,
+            lines: vec![INVALID; cfg.sets() * cfg.ways],
             stats: CacheStats::default(),
             tick: 0,
             mshr_busy_until: Vec::new(),
@@ -112,15 +115,23 @@ impl Cache {
 
     fn index(&self, addr: u64) -> (usize, u64) {
         let line_addr = addr / self.cfg.line as u64;
-        let set = (line_addr % self.sets.len() as u64) as usize;
+        let set = (line_addr % self.cfg.sets() as u64) as usize;
         (set, line_addr)
+    }
+
+    /// The index range of set `set`'s ways in `lines`.
+    fn ways(&self, set: usize) -> Range<usize> {
+        let ways = self.cfg.ways;
+        set * ways..(set + 1) * ways
     }
 
     /// `true` if `addr`'s line is present (no state change, no stats) —
     /// used by tests and the attack harness's "probe without touching".
     pub fn contains(&self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        self.lines[self.ways(set)]
+            .iter()
+            .any(|l| l.valid && l.tag == tag)
     }
 
     /// Performs a read/write lookup at time `now`; on a miss the caller is
@@ -129,7 +140,8 @@ impl Cache {
     pub fn access(&mut self, addr: u64, write: bool, now: u64) -> CacheAccess {
         self.tick += 1;
         let (set, tag) = self.index(addr);
-        let ways = &mut self.sets[set];
+        let ways = self.ways(set);
+        let ways = &mut self.lines[ways];
         if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.lru = self.tick;
             if write {
@@ -183,9 +195,10 @@ impl Cache {
         self.tick += 1;
         let tick = self.tick;
         let line_bytes = self.cfg.line as u64;
-        let sets_len = self.sets.len() as u64;
+        let sets_len = self.cfg.sets() as u64;
         let (set, tag) = self.index(addr);
-        let ways = &mut self.sets[set];
+        let ways = self.ways(set);
+        let ways = &mut self.lines[ways];
         // Already present (racing fills): just update.
         if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.dirty |= dirty;
@@ -224,7 +237,8 @@ impl Cache {
     /// a line was present.
     pub fn flush_line(&mut self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        for line in &mut self.sets[set] {
+        let ways = self.ways(set);
+        for line in &mut self.lines[ways] {
             if line.valid && line.tag == tag {
                 *line = INVALID;
                 self.stats.flushes += 1;
@@ -236,19 +250,17 @@ impl Cache {
 
     /// Invalidates everything (used at secure-mode entry by some policies).
     pub fn flush_all(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                if line.valid {
-                    self.stats.flushes += 1;
-                }
-                *line = INVALID;
+        for line in &mut self.lines {
+            if line.valid {
+                self.stats.flushes += 1;
             }
+            *line = INVALID;
         }
     }
 
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().flatten().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.valid).count()
     }
 
     /// Visits the full cache state — lines in set-major order, LRU clock,
@@ -258,7 +270,7 @@ impl Cache {
     /// word must be `<= 0b111`.
     pub(crate) fn state(&mut self, w: &mut Words<'_>) -> Option<()> {
         w.u64(&mut self.tick)?;
-        for line in self.sets.iter_mut().flatten() {
+        for line in &mut self.lines {
             let flags =
                 line.valid as u64 | (line.dirty as u64) << 1 | (line.prefetched as u64) << 2;
             w.u64(&mut line.tag)?;
@@ -417,6 +429,247 @@ mod tests {
         c.fill(0x300 + 2 * stride, false, false); // evict the written line eventually
         c.fill(0x300 + 3 * stride, false, false);
         assert!(c.stats().writebacks >= 1);
+    }
+
+    /// The per-set reference layout: one `Vec<Line>` per set, with the
+    /// lookup, victim and flush loops written against it directly.
+    #[derive(Clone)]
+    struct RefCache {
+        cfg: CacheConfig,
+        sets: Vec<Vec<Line>>,
+        stats: CacheStats,
+        tick: u64,
+        mshr_busy_until: Vec<u64>,
+    }
+
+    impl RefCache {
+        fn new(cfg: CacheConfig) -> Self {
+            RefCache {
+                sets: vec![vec![INVALID; cfg.ways]; cfg.sets()],
+                stats: CacheStats::default(),
+                tick: 0,
+                mshr_busy_until: Vec::new(),
+                cfg,
+            }
+        }
+
+        fn index(&self, addr: u64) -> (usize, u64) {
+            let line_addr = addr / self.cfg.line as u64;
+            ((line_addr % self.sets.len() as u64) as usize, line_addr)
+        }
+
+        fn contains(&self, addr: u64) -> bool {
+            let (set, tag) = self.index(addr);
+            self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        }
+
+        fn access(&mut self, addr: u64, write: bool, now: u64) -> CacheAccess {
+            self.tick += 1;
+            let (set, tag) = self.index(addr);
+            if let Some(line) = self.sets[set].iter_mut().find(|l| l.valid && l.tag == tag) {
+                line.lru = self.tick;
+                if write {
+                    line.dirty = true;
+                    self.stats.write_hits += 1;
+                } else {
+                    self.stats.read_hits += 1;
+                }
+                if line.prefetched {
+                    self.stats.prefetch_hits += 1;
+                    line.prefetched = false;
+                }
+                return CacheAccess {
+                    hit: true,
+                    latency: self.cfg.hit_latency,
+                    mshr_stall: false,
+                    evicted: None,
+                };
+            }
+            if write {
+                self.stats.write_misses += 1;
+            } else {
+                self.stats.read_misses += 1;
+            }
+            self.mshr_busy_until.retain(|&t| t > now);
+            let mshr_stall = self.mshr_busy_until.len() >= self.cfg.mshrs;
+            if mshr_stall {
+                self.stats.mshr_full_events += 1;
+            } else {
+                self.stats.mshr_misses += 1;
+            }
+            CacheAccess {
+                hit: false,
+                latency: self.cfg.hit_latency,
+                mshr_stall,
+                evicted: None,
+            }
+        }
+
+        fn note_miss_latency(&mut self, latency: u64, done: u64) {
+            self.stats.mshr_miss_latency += latency;
+            self.mshr_busy_until.push(done);
+        }
+
+        fn fill(&mut self, addr: u64, dirty: bool, prefetched: bool) -> Option<u64> {
+            self.tick += 1;
+            let tick = self.tick;
+            let line_bytes = self.cfg.line as u64;
+            let (set, tag) = self.index(addr);
+            let ways = &mut self.sets[set];
+            if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
+                line.dirty |= dirty;
+                line.lru = tick;
+                return None;
+            }
+            let victim = ways
+                .iter_mut()
+                .min_by_key(|l| if l.valid { l.lru } else { 0 })
+                .expect("cache has ways");
+            let evicted = if victim.valid {
+                if victim.dirty {
+                    self.stats.writebacks += 1;
+                } else {
+                    self.stats.clean_evicts += 1;
+                }
+                Some(victim.tag * line_bytes)
+            } else {
+                None
+            };
+            if prefetched {
+                self.stats.prefetch_fills += 1;
+            }
+            *victim = Line {
+                tag,
+                valid: true,
+                dirty,
+                prefetched,
+                lru: tick,
+            };
+            evicted
+        }
+
+        fn flush_line(&mut self, addr: u64) -> bool {
+            let (set, tag) = self.index(addr);
+            for line in &mut self.sets[set] {
+                if line.valid && line.tag == tag {
+                    *line = INVALID;
+                    self.stats.flushes += 1;
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn flush_all(&mut self) {
+            for set in &mut self.sets {
+                for line in set {
+                    if line.valid {
+                        self.stats.flushes += 1;
+                    }
+                    *line = INVALID;
+                }
+            }
+        }
+
+        fn occupancy(&self) -> usize {
+            self.sets.iter().flatten().filter(|l| l.valid).count()
+        }
+
+        /// The word stream `Cache::state` saves, built set by set.
+        fn words(&self) -> Vec<u64> {
+            let mut words = vec![self.tick];
+            for line in self.sets.iter().flatten() {
+                let flags =
+                    line.valid as u64 | (line.dirty as u64) << 1 | (line.prefetched as u64) << 2;
+                words.extend([line.tag, flags, line.lru]);
+            }
+            let mut mshrs = self.mshr_busy_until.clone();
+            Words::Save(&mut words)
+                .seq(&mut mshrs, usize::MAX, Words::u64)
+                .expect("saves");
+            let s = &self.stats;
+            words.extend([
+                s.read_hits,
+                s.read_misses,
+                s.write_hits,
+                s.write_misses,
+                s.clean_evicts,
+                s.writebacks,
+                s.flushes,
+                s.mshr_misses,
+                s.mshr_miss_latency,
+                s.mshr_full_events,
+                s.prefetch_fills,
+                s.prefetch_hits,
+            ]);
+            words
+        }
+    }
+
+    fn saved_words(c: &Cache) -> Vec<u64> {
+        let mut words = Vec::new();
+        c.clone()
+            .state(&mut Words::Save(&mut words))
+            .expect("saves");
+        words
+    }
+
+    /// (size, line, ways, mshrs): 1-way, sets > ways, sets < ways.
+    const GEOMETRIES: [(usize, usize, usize, usize); 3] =
+        [(512, 64, 1, 2), (2048, 64, 2, 3), (1024, 32, 8, 4)];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn flat_layout_matches_per_set_reference(
+            geometry in 0usize..GEOMETRIES.len(),
+            ops in proptest::collection::vec(
+                (0u8..6, 0u64..8192, proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>(), 0u64..40),
+                1..300,
+            ),
+        ) {
+            let (size, line, ways, mshrs) = GEOMETRIES[geometry];
+            let cfg = CacheConfig { size, line, ways, hit_latency: 2, mshrs, write_buffers: 4 };
+            let mut flat = Cache::new(cfg.clone());
+            let mut reference = RefCache::new(cfg);
+            let mut now = 0u64;
+            for (i, &(op, addr, a, b, dt)) in ops.iter().enumerate() {
+                now += dt;
+                match op {
+                    0 | 1 => proptest::prop_assert_eq!(
+                        flat.access(addr, a, now),
+                        reference.access(addr, a, now),
+                        "access {}", i
+                    ),
+                    2 | 3 => proptest::prop_assert_eq!(
+                        flat.fill(addr, a, b),
+                        reference.fill(addr, a, b),
+                        "fill {}", i
+                    ),
+                    4 => {
+                        if a && b {
+                            flat.flush_all();
+                            reference.flush_all();
+                        } else {
+                            proptest::prop_assert_eq!(
+                                flat.flush_line(addr),
+                                reference.flush_line(addr),
+                                "flush_line {}", i
+                            );
+                        }
+                    }
+                    _ => {
+                        flat.note_miss_latency(dt, now + dt);
+                        reference.note_miss_latency(dt, now + dt);
+                    }
+                }
+                proptest::prop_assert_eq!(flat.contains(addr), reference.contains(addr), "op {}", i);
+                proptest::prop_assert_eq!(flat.occupancy(), reference.occupancy(), "op {}", i);
+                proptest::prop_assert_eq!(flat.stats(), &reference.stats, "op {}", i);
+                proptest::prop_assert_eq!(saved_words(&flat), reference.words(), "op {}", i);
+            }
+        }
     }
 
     #[test]
